@@ -20,10 +20,11 @@ from .graph import (
     Graph,
     GraphError,
     _reachable_from_zero,
+    is_connected,
     is_maximal_neighbour_graph,
     max_degree,
 )
-from .graph6 import read_graph6_file, write_graph6
+from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .invariants import TAGS, invariant_values
 
 MAX_BUILTIN_N = 7
@@ -74,10 +75,34 @@ class GraphSource:
         return cls("graph6", n=n, path=path)
 
     def graphs(self):
+        """Yield the source's graphs. A graph6 stream must hold graphs of
+        one order (``n`` if given, else the first graph's) and only
+        connected graphs; the first line that breaks this or is not
+        graph6 raises GraphError naming the file and the line."""
         if self.kind == "enumeration":
             yield from enumerate_connected(self.n)
-        else:
-            yield from read_graph6_file(self.path)
+            return
+        order = self.n
+        with open(self.path, "r", encoding="ascii") as fh:
+            for line_no, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    g = parse_graph6(line)
+                except Graph6Error as exc:
+                    raise Graph6Error(
+                        f"{self.path}, line {line_no}: {exc}") from None
+                if order is None:
+                    order = g.n
+                elif g.n != order:
+                    raise GraphError(
+                        f"{self.path}, line {line_no}: graph of order {g.n} "
+                        f"in a stream of order {order}"
+                    )
+                if not is_connected(g):
+                    raise GraphError(
+                        f"{self.path}, line {line_no}: graph is disconnected")
+                yield g
 
 
 def enumerate_connected(n):
@@ -269,14 +294,7 @@ def _sweep_stream(source, pairs, law_checks):
     failures = []
     reported_bad_keys = set()
     scanned = 0
-    n_seen = None
     for g in source.graphs():
-        if n_seen is None:
-            n_seen = g.n
-        elif g.n != n_seen:
-            raise GraphError(
-                f"graph6 stream mixes orders {n_seen} and {g.n}"
-            )
         index = scanned
         scanned += 1
         key = _degree_sorted_key(g.n, g.adj)
@@ -295,10 +313,10 @@ def _sweep_stream(source, pairs, law_checks):
     if scanned == 0:
         raise GraphError("graph source produced no graphs")
     reports = {
-        p: ExtremalReport(p[0], p[1], n_seen, best[p][0], best[p][2], scanned)
+        p: ExtremalReport(p[0], p[1], g.n, best[p][0], best[p][2], scanned)
         for p in pairs
     }
-    return SweepResult(n_seen, scanned, reports, failures)
+    return SweepResult(g.n, scanned, reports, failures)
 
 
 def extremal_difference(xi1, xi2, source):

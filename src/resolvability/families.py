@@ -5,12 +5,15 @@ their complements Wbar(u,v) = {w : d(u,w) >= d(v,w)} drive the two
 hitting-set invariants. Pair families hold, for every unordered pair of
 items (vertices, edges, or both), the set of vertices that resolve the
 pair; minimum hitting sets of those families are the metric, edge
-metric and mixed metric dimensions.
+metric and mixed metric dimensions. The psi family holds, for every
+vertex pair, the complements of the level sets of s -> d(u,s) - d(v,s);
+its minimum hitting sets are the minimum doubly resolving sets.
 
 All set-building functions are pure functions of immutable inputs.
 """
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from itertools import combinations
 
 from .graph import GraphError, bits_list
@@ -19,14 +22,22 @@ from .graph import GraphError, bits_list
 @dataclass(frozen=True)
 class SetFamily:
     """Ordered family of vertex subsets (bitmasks) over universe 0..n-1,
-    with a provenance label per set."""
+    with a provenance label per set.
+
+    Labels are built on demand by ``make_labels`` (sweeps never read
+    them); they take no part in equality.
+    """
 
     n: int
     sets: tuple
-    labels: tuple
+    make_labels: Callable = field(compare=False, repr=False)
 
     def __len__(self):
         return len(self.sets)
+
+    @property
+    def labels(self):
+        return tuple(self.make_labels())
 
     def to_json_dict(self):
         """Debug serialization: 1-based vertex lists with labels."""
@@ -66,30 +77,28 @@ def w_sets(dist, u, v):
     return w_uv, w_vu, full & ~w_uv, full & ~w_vu, eq
 
 
+def _w_family(g, dist, first, name):
+    """Sets ``w_sets(...)[first]`` and ``[first + 1]`` over all edges in
+    canonical order, the (u, v) set before the (v, u) set."""
+    edges = g.edges()
+    sets = []
+    for u, v in edges:
+        sets.extend(w_sets(dist, u, v)[first:first + 2])
+    return SetFamily(g.n, tuple(sets), lambda: [
+        f"{name}(v{a + 1},v{b + 1})" for u, v in edges for a, b in ((u, v), (v, u))
+    ])
+
+
 def family_strict(g, dist):
-    """Family {W_uv, W_vu} over all edges, canonical edge order, W(u,v)
-    before W(v,u). Its minimum hitting set size is mhs_<(G)."""
-    sets, labels = [], []
-    for u, v in g.edges():
-        w_uv, w_vu, _, _, _ = w_sets(dist, u, v)
-        sets.append(w_uv)
-        labels.append(f"W(v{u + 1},v{v + 1})")
-        sets.append(w_vu)
-        labels.append(f"W(v{v + 1},v{u + 1})")
-    return SetFamily(g.n, tuple(sets), tuple(labels))
+    """Family {W_uv, W_vu} over all edges; its minimum hitting set size
+    is mhs_<(G)."""
+    return _w_family(g, dist, 0, "W")
 
 
 def family_weak(g, dist):
     """Family {Wbar_uv, Wbar_vu} over all edges; its minimum hitting set
     size is mhs_<=(G)."""
-    sets, labels = [], []
-    for u, v in g.edges():
-        _, _, wb_uv, wb_vu, _ = w_sets(dist, u, v)
-        sets.append(wb_uv)
-        labels.append(f"Wbar(v{u + 1},v{v + 1})")
-        sets.append(wb_vu)
-        labels.append(f"Wbar(v{v + 1},v{u + 1})")
-    return SetFamily(g.n, tuple(sets), tuple(labels))
+    return _w_family(g, dist, 2, "Wbar")
 
 
 def _vertex_label(v):
@@ -100,59 +109,11 @@ def _edge_label(e):
     return f"e(v{e[0] + 1},v{e[1] + 1})"
 
 
-def vertex_pair_family(g, dist):
-    """One resolver set per unordered pair of distinct vertices:
-    {w : d(u,w) != d(v,w)}."""
-    n = g.n
-    sets, labels = [], []
-    for u, v in combinations(range(n), 2):
-        du, dv = dist[u], dist[v]
-        m = 0
-        for w in range(n):
-            if du[w] != dv[w]:
-                m |= 1 << w
-        sets.append(m)
-        labels.append(f"pair({_vertex_label(u)},{_vertex_label(v)})")
-    return SetFamily(n, tuple(sets), tuple(labels))
-
-
-def _edge_distance_rows(g, dist):
-    """Distance vector d(e, .) for each edge in canonical order, using
-    d(e, w) = min(d(u, w), d(v, w))."""
-    rows = []
-    for u, v in g.edges():
-        du, dv = dist[u], dist[v]
-        rows.append(tuple(min(du[w], dv[w]) for w in range(g.n)))
-    return rows
-
-
-def edge_pair_family(g, dist):
-    """One resolver set per unordered pair of distinct edges."""
-    n = g.n
-    edges = g.edges()
-    rows = _edge_distance_rows(g, dist)
-    sets, labels = [], []
-    for i, j in combinations(range(len(edges)), 2):
-        ri, rj = rows[i], rows[j]
-        m = 0
-        for w in range(n):
-            if ri[w] != rj[w]:
-                m |= 1 << w
-        sets.append(m)
-        labels.append(f"pair({_edge_label(edges[i])},{_edge_label(edges[j])})")
-    return SetFamily(n, tuple(sets), tuple(labels))
-
-
-def mixed_pair_family(g, dist):
-    """One resolver set per unordered pair of distinct items, items being
-    all vertices followed by all edges in canonical order."""
-    n = g.n
-    edges = g.edges()
-    rows = [dist[v] for v in range(n)] + _edge_distance_rows(g, dist)
-    labels_items = [_vertex_label(v) for v in range(n)] + [
-        _edge_label(e) for e in edges
-    ]
-    sets, labels = [], []
+def _pair_family(n, rows, item_labels):
+    """One resolver set per unordered pair of distinct items i < j:
+    {w : rows[i][w] != rows[j][w]}, where rows[i] is the distance vector
+    of item i. ``item_labels`` builds the item names for the labels."""
+    sets = []
     for i, j in combinations(range(len(rows)), 2):
         ri, rj = rows[i], rows[j]
         m = 0
@@ -160,8 +121,69 @@ def mixed_pair_family(g, dist):
             if ri[w] != rj[w]:
                 m |= 1 << w
         sets.append(m)
-        labels.append(f"pair({labels_items[i]},{labels_items[j]})")
-    return SetFamily(n, tuple(sets), tuple(labels))
+
+    def labels():
+        names = item_labels()
+        return [f"pair({names[i]},{names[j]})"
+                for i, j in combinations(range(len(rows)), 2)]
+    return SetFamily(n, tuple(sets), labels)
+
+
+def _edge_distance_rows(g, dist):
+    """Distance vector d(e, .) for each edge in canonical order, using
+    d(e, w) = min(d(u, w), d(v, w))."""
+    return [tuple(map(min, dist[u], dist[v])) for u, v in g.edges()]
+
+
+def vertex_pair_family(g, dist):
+    """One resolver set per unordered pair of distinct vertices:
+    {w : d(u,w) != d(v,w)}."""
+    return _pair_family(g.n, dist, lambda: [_vertex_label(v) for v in range(g.n)])
+
+
+def edge_pair_family(g, dist):
+    """One resolver set per unordered pair of distinct edges."""
+    return _pair_family(g.n, _edge_distance_rows(g, dist),
+                        lambda: [_edge_label(e) for e in g.edges()])
+
+
+def mixed_pair_family(g, dist):
+    """One resolver set per unordered pair of distinct items, items being
+    all vertices followed by all edges in canonical order."""
+    return _pair_family(
+        g.n, list(dist) + _edge_distance_rows(g, dist),
+        lambda: [_vertex_label(v) for v in range(g.n)]
+        + [_edge_label(e) for e in g.edges()])
+
+
+def psi_family(g, dist):
+    """Family whose minimum hitting sets are the minimum doubly resolving
+    sets.
+
+    A pair (u, v) is doubly resolved by S iff s -> d(u,s) - d(v,s) is
+    non-constant on S, i.e. S lies inside none of its level sets C, i.e.
+    S hits V - C. Level sets of one vertex only matter for |S| < 2, which
+    the sets V - {s} rule out (a doubly resolving set has at least two
+    vertices), so the family is {V - C : C a level set with |C| >= 2 of
+    some pair} followed by {V - {s} : s in V}.
+    """
+    n = g.n
+    full = (1 << n) - 1
+    sets, origins = [], []
+    for u, v in combinations(range(n), 2):
+        du, dv = dist[u], dist[v]
+        classes = {}
+        for s in range(n):
+            key = du[s] - dv[s]
+            classes[key] = classes.get(key, 0) | 1 << s
+        for key, c in classes.items():
+            if c.bit_count() >= 2:
+                sets.append(full & ~c)
+                origins.append((u, v, key))
+    sets.extend(full & ~(1 << s) for s in range(n))
+    return SetFamily(n, tuple(sets), lambda: [
+        f"V-C(v{u + 1},v{v + 1};{key})" for u, v, key in origins
+    ] + [f"V-{{v{s + 1}}}" for s in range(n)])
 
 
 def doubly_resolves(dist, x, y, u, v):

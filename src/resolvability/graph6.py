@@ -74,16 +74,3 @@ def write_graph6(g):
     for i in range(nbytes - 1, -1, -1):
         out.append(chr((bits >> (6 * i) & 63) + 63))
     return "".join(out)
-
-
-def iter_graph6(lines):
-    """Yield Graphs from an iterable of graph6 lines, skipping blanks."""
-    for line in lines:
-        if line.strip():
-            yield parse_graph6(line)
-
-
-def read_graph6_file(path):
-    """Yield Graphs from a file with one graph6 string per line."""
-    with open(path, "r", encoding="ascii") as fh:
-        yield from iter_graph6(fh)

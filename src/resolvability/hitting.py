@@ -123,23 +123,6 @@ def _lex_search(n, sets, budget, start=0):
     return None
 
 
-def min_hitting_size(n, sets, use_reductions=True):
-    """Exact minimum hitting set cardinality."""
-    _check_instance(n, sets)
-    if use_reductions:
-        forced, work = _reduce(sets)
-    else:
-        forced, work = 0, sorted(set(sets), key=lambda s: (s.bit_count(), s))
-    base = forced.bit_count()
-    if not work:
-        return base
-    ub = greedy_hitting(n, work).bit_count()
-    for extra in range(_packing_bound(work), ub + 1):
-        if _lex_search(n, work, extra) is not None:
-            return base + extra
-    raise AssertionError("greedy bound unreachable")  # pragma: no cover
-
-
 def min_hitting_exact(n, sets, use_reductions=True):
     """Exact minimum hitting set with the lexicographically smallest
     optimal witness (compared as sorted vertex-index sequences).

@@ -1,24 +1,23 @@
 """The six resolvability invariants with certifying witnesses.
 
-mhs_strict and mhs_weak are minimum hitting sets of the strict/weak
-W-set families. beta, beta_E and beta_M are minimum hitting sets of the
-vertex-, edge- and mixed-pair resolver families. psi (the doubly metric
-dimension) is not a hitting-set instance (its condition needs two
-cooperating witnesses), so it gets a dedicated search over candidate
-cardinalities, lower-bounded by max(2, mhs_weak) which is exact on many
-families and always sound.
+Every invariant is one pipeline: distance rows, then a set family, then
+the exact hitting-set solver, then a witness check. mhs_strict and
+mhs_weak are minimum hitting sets of the strict/weak W-set families;
+beta, beta_E and beta_M of the vertex-, edge- and mixed-pair resolver
+families; psi (the doubly metric dimension) of the psi family, whose
+hitting sets are exactly the doubly resolving sets.
 
-Every returned witness is re-validated by the defining predicate before
-it leaves this module.
+Every witness hits its family, and a psi witness is also re-checked by
+the two-witness definition (``is_doubly_resolving``), before it leaves
+this module.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import ceil, log2
 
 from . import families as fam
 from .graph import GraphError, all_pairs_distances, bits_list, max_degree
-from .hitting import min_hitting_exact, min_hitting_size, verify_hitting
+from .hitting import min_hitting_exact, verify_hitting
 
 TAGS = ("beta", "beta_E", "beta_M", "psi", "mhs_strict", "mhs_weak")
 
@@ -40,9 +39,9 @@ def _distances(g):
 
 
 def _solve_family(g, family, tag):
-    for m, label in zip(family.sets, family.labels):
+    for i, m in enumerate(family.sets):
         if m == 0:
-            raise GraphError(f"{tag}: no vertex resolves {label}")
+            raise GraphError(f"{tag}: no vertex resolves {family.labels[i]}")
     sol = min_hitting_exact(g.n, family.sets)
     if not verify_hitting(family.sets, sol.mask):  # pragma: no cover
         raise RuntimeError(f"{tag}: solver returned a non-hitting witness")
@@ -85,54 +84,18 @@ def mixed_metric_dimension(g, dist=None):
     return _solve_family(g, fam.mixed_pair_family(g, dist), "beta_M")
 
 
-def _pair_class_masks(dist):
-    """For each vertex pair (u, v), the partition of V by the value of
-    d(u,s) - d(v,s), kept only for classes of size >= 2 (a candidate set
-    S fails the pair exactly when S lies inside one class)."""
-    n = len(dist)
-    per_pair = []
-    for u in range(n):
-        du = dist[u]
-        for v in range(u + 1, n):
-            dv = dist[v]
-            classes = {}
-            for s in range(n):
-                key = du[s] - dv[s]
-                classes[key] = classes.get(key, 0) | 1 << s
-            big = tuple(m for m in classes.values() if m.bit_count() >= 2)
-            if big:
-                per_pair.append(big)
-    return per_pair
-
-
-def _psi_search(g, dist, lower):
-    n = g.n
-    per_pair = _pair_class_masks(dist)
-    for k in range(max(2, lower), n + 1):
-        for combo in combinations(range(n), k):
-            mask = 0
-            for s in combo:
-                mask |= 1 << s
-            if all(
-                all(mask & ~c for c in classes) for classes in per_pair
-            ):
-                return k, combo
-    raise RuntimeError("no doubly resolving set found; graph invalid")
-
-
 def doubly_metric_dimension(g, dist=None):
     """psi(G): minimum doubly resolving set size.
 
-    Candidate cardinalities run from max(2, mhs_weak(G)) upward; within
-    one cardinality, subsets are tried in lexicographic order and the
-    first doubly resolving one is the witness.
+    Solved as the minimum hitting set of the psi family, so the witness
+    is the lexicographically smallest minimum doubly resolving set; it
+    is re-checked by the two-witness definition.
     """
     dist = dist if dist is not None else _distances(g)
-    lower = min_hitting_size(g.n, fam.family_weak(g, dist).sets)
-    k, combo = _psi_search(g, dist, lower)
-    if not fam.is_doubly_resolving(dist, combo):  # pragma: no cover
-        raise RuntimeError("psi: search returned a non-doubly-resolving witness")
-    return InvariantResult("psi", k, tuple(combo))
+    result = _solve_family(g, fam.psi_family(g, dist), "psi")
+    if not fam.is_doubly_resolving(dist, result.witness):  # pragma: no cover
+        raise RuntimeError("psi: solver returned a non-doubly-resolving witness")
+    return result
 
 
 def edge_dim_log_bound_check(g, dist=None):
@@ -143,10 +106,7 @@ def edge_dim_log_bound_check(g, dist=None):
     return value >= ceil(log2(delta))
 
 
-def all_invariants(g):
-    """All six invariants with witnesses, computed from one distance
-    matrix. Returns a dict keyed by tag."""
-    dist = _distances(g)
+def _all_invariants(g, dist):
     return {
         "beta": metric_dimension(g, dist),
         "beta_E": edge_metric_dimension(g, dist),
@@ -157,22 +117,16 @@ def all_invariants(g):
     }
 
 
+def all_invariants(g):
+    """All six invariants with witnesses, computed from one distance
+    matrix. Returns a dict keyed by tag."""
+    return _all_invariants(g, _distances(g))
+
+
 def invariant_values(g, dist=None):
-    """Values of all six invariants without witnesses (fast path for
-    exhaustive sweeps). Returns a dict tag -> int."""
+    """Values of all six invariants, as a dict tag -> int."""
     dist = dist if dist is not None else _distances(g)
-    n = g.n
-    weak = min_hitting_size(n, fam.family_weak(g, dist).sets)
-    psi, _ = _psi_search(g, dist, weak)
-    edge_sets = fam.edge_pair_family(g, dist).sets
-    return {
-        "beta": min_hitting_size(n, fam.vertex_pair_family(g, dist).sets),
-        "beta_E": min_hitting_size(n, edge_sets) if edge_sets else 1,
-        "beta_M": min_hitting_size(n, fam.mixed_pair_family(g, dist).sets),
-        "psi": psi,
-        "mhs_strict": min_hitting_size(n, fam.family_strict(g, dist).sets),
-        "mhs_weak": weak,
-    }
+    return {tag: r.value for tag, r in _all_invariants(g, dist).items()}
 
 
 def result_record(g, graph6_string, results):

@@ -161,6 +161,15 @@ class TestVerify:
                            f"4:{p}")
         assert code == 0
 
+    def test_wrong_order_stream_fails_fast(self, capsys, tmp_path):
+        from resolvability import path, write_graph6
+        p = tmp_path / "p7.g6"
+        p.write_text(f"{write_graph6(path(7))}\n")
+        code, out, err = run(capsys, "verify", "8..8", "--stream", f"8:{p}")
+        assert code == 1
+        assert out == ""
+        assert f"{p}, line 1: graph of order 7 in a stream of order 8" in err
+
     def test_missing_stream_for_large_n(self, capsys):
         code, _, err = run(capsys, "verify", "8..8")
         assert code == 1

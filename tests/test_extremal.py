@@ -151,8 +151,20 @@ class TestStreamSource:
 
     def test_mixed_orders_rejected(self, tmp_path):
         p = tmp_path / "mixed.g6"
-        p.write_text("A_\nBW\n")
-        with pytest.raises(GraphError):
+        p.write_text("A_\n\nBw\n")
+        with pytest.raises(GraphError, match="line 3: graph of order 3 in "
+                                             "a stream of order 2"):
+            extremal_difference("psi", "mhs_weak",
+                                GraphSource.graph6_file(str(p)))
+
+    @pytest.mark.parametrize("text,message", [
+        ("A_\n\nA!\n", "line 3: graph6 string"),
+        ("A_\nA?\n", "line 2: graph is disconnected"),
+    ])
+    def test_bad_line_named(self, tmp_path, text, message):
+        p = tmp_path / "bad.g6"
+        p.write_text(text)
+        with pytest.raises(GraphError, match=f"bad.g6, {message}"):
             extremal_difference("psi", "mhs_weak",
                                 GraphSource.graph6_file(str(p)))
 

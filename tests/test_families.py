@@ -22,6 +22,7 @@ from resolvability import (
     w_sets,
 )
 from resolvability.extremal import enumerate_connected
+from resolvability.families import psi_family
 from resolvability.graph import bits_list, mask_of
 
 from conftest import random_connected_graph
@@ -205,3 +206,25 @@ class TestDoublyResolving:
                 for u, v in combinations(range(n), 2)
             )
             assert is_doubly_resolving(d, members) == expected
+
+
+class TestPsiFamily:
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_hitting_sets_are_doubly_resolving_sets(self, n):
+        for g in enumerate_connected(n):
+            d = _dist(g)
+            sets = psi_family(g, d).sets
+            for mask in range(1 << n):
+                members = bits_list(mask)
+                hits = all(mask & s for s in sets)
+                assert hits == is_doubly_resolving(d, members)
+
+    def test_p3_sets_and_labels(self):
+        g = path(3)
+        fam = psi_family(g, _dist(g))
+        # pair (v1,v3): levels -2, 0, 2 are singletons; pairs (v1,v2) and
+        # (v2,v3) each have one level set of size 2
+        assert fam.sets == (0b001, 0b100, 0b110, 0b101, 0b011)
+        assert fam.labels == (
+            "V-C(v1,v2;1)", "V-C(v2,v3;-1)", "V-{v1}", "V-{v2}", "V-{v3}",
+        )

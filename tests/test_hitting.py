@@ -18,7 +18,6 @@ from resolvability import (
     verify_hitting,
 )
 from resolvability.graph import mask_of
-from resolvability.hitting import min_hitting_size
 
 from conftest import random_hitting_instance
 
@@ -120,9 +119,6 @@ class TestOracleEquivalence:
                 sol = min_hitting_exact(n, sets, use_reductions=use_reductions)
                 assert sol.size == oracle.size
                 assert sol.mask == oracle.mask  # both lex-minimal
-                assert min_hitting_size(
-                    n, sets, use_reductions=use_reductions
-                ) == oracle.size
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 from math import ceil, log2
 
 import pytest
@@ -34,6 +35,17 @@ from resolvability.invariants import result_record
 from resolvability.graph6 import write_graph6
 
 from conftest import random_connected_graph
+
+
+def brute_force_psi(dist):
+    """First doubly resolving vertex set by size, then lexicographic
+    order. Exponential; independent of the psi family and the solver."""
+    n = len(dist)
+    for k in range(n + 1):
+        for combo in combinations(range(n), k):
+            if is_doubly_resolving(dist, combo):
+                return combo
+    raise AssertionError("V is doubly resolving for every connected graph")
 
 
 class TestMhs:
@@ -134,6 +146,17 @@ class TestDoublyMetricDimension:
     def test_deterministic_witness(self):
         g = cycle(6)
         assert doubly_metric_dimension(g) == doubly_metric_dimension(g)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_matches_brute_force_exhaustive(self, n):
+        # value and witness equal the first doubly resolving set by size,
+        # then lexicographic order; covers P_2 and K_3, whose level-set
+        # families are empty
+        for g in enumerate_connected(n):
+            d = all_pairs_distances(g)
+            res = doubly_metric_dimension(g, d)
+            want = brute_force_psi(d)
+            assert (res.value, res.witness) == (len(want), want)
 
 
 class TestOrderingChain:

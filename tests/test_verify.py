@@ -27,6 +27,7 @@ def test_verify_order_3_statements():
 def test_verify_order_4_dedge_bounds():
     checks = {c.name: c for c in verify_order(4)}
     assert checks["dedge"].passed
+    assert checks["dedge"].statement == "1 <= (psi - beta_E)(n) <= 1"
 
 
 def test_family_checks_pass():
@@ -60,6 +61,21 @@ def test_stream_backed_order(tmp_path):
     checks = verify_order(4, str(p))
     assert all(c.passed for c in checks)
     assert any("stream" in c.statement for c in checks)
+
+
+def test_stream_dedge_checks_upper_bound_only(tmp_path):
+    # P_8 and C_8 both give psi - beta_E = 1, below the exhaustive lower
+    # bound 8 // 2 - 1 = 3; a stream cannot claim that bound
+    from resolvability import cycle, path, write_graph6
+    p = tmp_path / "n8.g6"
+    p.write_text(f"{write_graph6(path(8))}\n{write_graph6(cycle(8))}\n")
+    checks = {c.name: c for c in verify_order(8, str(p))}
+    dedge = checks["dedge"]
+    assert dedge.passed
+    assert dedge.statement == (
+        "(psi - beta_E)(n) <= 5 (stream, not provably exhaustive)")
+    assert dedge.detail == "computed 1"
+    assert all(c.passed for c in checks.values())
 
 
 def test_bad_range():

@@ -135,20 +135,20 @@ def cmd_families(args):
 
 
 def _source_for(n, stream):
-    if n <= MAX_BUILTIN_N:
-        return GraphSource.enumeration(n)
-    if not stream:
-        raise GraphError(f"order {n} requires --stream with a graph6 file")
-    return GraphSource.graph6_file(stream, n=n)
+    if stream and n > MAX_BUILTIN_N:
+        return GraphSource.graph6_file(stream, n=n)
+    return GraphSource.enumeration(n)
 
 
 def cmd_extremal(args):
     lo, hi = _parse_range(args.range)
+    # every order's source is checked before the first sweep
+    sources = [_source_for(n, args.stream) for n in range(lo, hi + 1)]
     rows = []
-    for n in range(lo, hi + 1):
-        report = extremal_difference(args.xi1, args.xi2, _source_for(n, args.stream))
+    for source in sources:
+        report = extremal_difference(args.xi1, args.xi2, source)
         rows.append({
-            "xi1": report.xi1, "xi2": report.xi2, "n": n,
+            "xi1": report.xi1, "xi2": report.xi2, "n": report.n,
             "max_diff": report.max_diff,
             "witness_graph6": report.witness_graph6,
             "graphs_scanned": report.graphs_scanned,

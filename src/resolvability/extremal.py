@@ -2,16 +2,18 @@
 
 The builtin enumerator walks every labeled connected simple graph of
 order n <= 7 (all edge-subset masks, connectivity-filtered, no
-isomorphism rejection). Because all six invariants are functions of the
-unlabeled graph, the maximum of a difference over the labeled stream
-equals the maximum over isomorphism classes; the sweep exploits the
-same fact to cache invariant values under a degree-sorted relabeling
-key (equal keys always mean isomorphic graphs, so the cache is sound
-even though distinct keys may still be isomorphic).
+isomorphism rejection). Orders 8 and 9 are reachable through external
+graph6 streams, one graph per line; exhaustiveness of such a stream is
+the caller's claim, not ours.
 
-Orders 8 and 9 are reachable through external graph6 streams, one graph
-per line; exhaustiveness of such a stream is the caller's claim, not
-ours.
+``sweep`` is one loop over ``GraphSource.graphs()`` for either kind of
+source. Because all six invariants are functions of the unlabeled
+graph, the maximum of a difference over the labeled stream equals the
+maximum over isomorphism classes. The sweep uses the same fact to
+compute invariant values once per degree-sorted relabeling key (equal
+keys always mean isomorphic graphs, so this is sound even though
+distinct keys may still be isomorphic). That class table lives for one
+sweep.
 """
 
 from dataclasses import dataclass, field
@@ -78,11 +80,13 @@ class GraphSource:
         """Yield the source's graphs. A graph6 stream must hold graphs of
         one order (``n`` if given, else the first graph's) and only
         connected graphs; the first line that breaks this or is not
-        graph6 raises GraphError naming the file and the line."""
+        graph6 raises GraphError naming the file and the line, and so
+        does a stream with no graph at all."""
         if self.kind == "enumeration":
             yield from enumerate_connected(self.n)
             return
         order = self.n
+        empty = True
         with open(self.path, "r", encoding="ascii") as fh:
             for line_no, line in enumerate(fh, 1):
                 if not line.strip():
@@ -102,7 +106,10 @@ class GraphSource:
                 if not is_connected(g):
                     raise GraphError(
                         f"{self.path}, line {line_no}: graph is disconnected")
+                empty = False
                 yield g
+        if empty:
+            raise GraphError(f"{self.path}: stream holds no graphs")
 
 
 def enumerate_connected(n):
@@ -111,21 +118,17 @@ def enumerate_connected(n):
     if not 2 <= n <= MAX_BUILTIN_N:
         raise GraphError(f"builtin enumeration supports 2 <= n <= {MAX_BUILTIN_N}")
     full = (1 << n) - 1
-    for mask in range(1 << (n * (n - 1) // 2)):
-        adj = _unpack_adjacency(n, mask)
+    # mask bit b is the b-th pair (i, j), i < j, in column order
+    slots = [(i, j, 1 << i, 1 << j) for j in range(1, n) for i in range(j)]
+    for mask in range(1 << len(slots)):
+        adj = [0] * n
+        for i, j, bit_i, bit_j in slots:
+            if mask & 1:
+                adj[i] |= bit_j
+                adj[j] |= bit_i
+            mask >>= 1
         if _reachable_from_zero(adj) == full:
             yield Graph(n, adj)
-
-
-def _unpack_adjacency(n, mask):
-    adj = [0] * n
-    for j in range(1, n):
-        for i in range(j):
-            if mask & 1:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            mask >>= 1
-    return adj
 
 
 def _degree_sorted_key(n, adj):
@@ -149,14 +152,7 @@ def _degree_sorted_key(n, adj):
 @dataclass(frozen=True)
 class _ClassStats:
     values: dict
-    maximal_neighbour: bool
-    delta: int
-    is_path: bool
     law_violations: tuple
-
-
-# invariant values per (n, degree-sorted key); shared across sweeps
-_CLASS_CACHE = {}
 
 
 def _law_violations(n, values, maximal_neighbour, delta, is_path):
@@ -184,19 +180,19 @@ def _law_violations(n, values, maximal_neighbour, delta, is_path):
     return tuple(out)
 
 
-def _class_stats(n, key):
-    cached = _CLASS_CACHE.get((n, key))
-    if cached is not None:
-        return cached
-    g = Graph(n, _unpack_adjacency(n, key))
-    values = invariant_values(g)
-    mn = is_maximal_neighbour_graph(g)
-    delta = max_degree(g)
-    is_path = delta <= 2 and g.num_edges() == n - 1
-    stats = _ClassStats(
-        values, mn, delta, is_path, _law_violations(n, values, mn, delta, is_path)
-    )
-    _CLASS_CACHE[(n, key)] = stats
+def _class_stats(classes, key, g):
+    """Invariant values and law violations of g's class, computed on g
+    itself the first time ``key`` appears in ``classes``. Equal
+    degree-sorted keys mean isomorphic graphs, so any member of the class
+    gives the same values."""
+    stats = classes.get(key)
+    if stats is None:
+        n = g.n
+        values = invariant_values(g)
+        delta = max_degree(g)
+        is_path = delta <= 2 and g.num_edges() == n - 1
+        stats = classes[key] = _ClassStats(values, _law_violations(
+            n, values, is_maximal_neighbour_graph(g), delta, is_path))
     return stats
 
 
@@ -211,86 +207,14 @@ class SweepResult:
 def sweep(source, pairs=THEOREM_PAIRS, law_checks=False):
     """One pass over a graph source, reducing the requested extremal
     differences (first maximizer in stream order wins) and optionally
-    collecting pointwise law failures.
+    collecting pointwise law failures, once per degree-sorted key.
     """
+    pairs = tuple(pairs)
     for xi1, xi2 in pairs:
         _check_tag(xi1)
         _check_tag(xi2)
-    if source.kind == "enumeration":
-        return _sweep_enumeration(source.n, tuple(pairs), law_checks)
-    return _sweep_stream(source, tuple(pairs), law_checks)
-
-
-def _check_tag(tag):
-    if tag not in TAGS:
-        raise ValueError(f"unknown invariant tag {tag!r}; choose from {TAGS}")
-
-
-def _sweep_enumeration(n, pairs, law_checks):
-    full = (1 << n) - 1
-    best = {p: None for p in pairs}  # (diff, index, mask)
-    failures = []
-    reported_bad_keys = set()
-    scanned = 0
-    stats_of = _class_stats
-    key_of = _degree_sorted_key
-    for mask in range(1 << (n * (n - 1) // 2)):
-        # inline adjacency unpack + connectivity check (hot loop)
-        adj = [0] * n
-        m = mask
-        for j in range(1, n):
-            for i in range(j):
-                if m & 1:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-                m >>= 1
-        seen = 1
-        frontier = 1
-        while frontier:
-            nxt = 0
-            f = frontier
-            while f:
-                v = (f & -f).bit_length() - 1
-                f &= f - 1
-                nxt |= adj[v]
-            frontier = nxt & ~seen
-            seen |= nxt
-        if seen != full:
-            continue
-        index = scanned
-        scanned += 1
-        key = key_of(n, adj)
-        stats = stats_of(n, key)
-        values = stats.values
-        for p in pairs:
-            diff = values[p[0]] - values[p[1]]
-            cur = best[p]
-            if cur is None or diff > cur[0]:
-                best[p] = (diff, index, mask)
-        if law_checks and stats.law_violations and key not in reported_bad_keys:
-            reported_bad_keys.add(key)
-            g6 = write_graph6(Graph(n, adj))
-            failures.extend(
-                (index, g6, msg) for msg in stats.law_violations
-            )
-    if scanned == 0:
-        raise GraphError("graph source produced no graphs")
-    reports = {
-        p: ExtremalReport(
-            p[0],
-            p[1],
-            n,
-            best[p][0],
-            write_graph6(Graph(n, _unpack_adjacency(n, best[p][2]))),
-            scanned,
-        )
-        for p in pairs
-    }
-    return SweepResult(n, scanned, reports, failures)
-
-
-def _sweep_stream(source, pairs, law_checks):
-    best = {p: None for p in pairs}
+    classes = {}  # degree-sorted key -> _ClassStats, for this sweep only
+    best = dict.fromkeys(pairs)  # (diff, first graph with it)
     failures = []
     reported_bad_keys = set()
     scanned = 0
@@ -298,25 +222,28 @@ def _sweep_stream(source, pairs, law_checks):
         index = scanned
         scanned += 1
         key = _degree_sorted_key(g.n, g.adj)
-        stats = _class_stats(g.n, key)
+        stats = _class_stats(classes, key, g)
         values = stats.values
         for p in pairs:
             diff = values[p[0]] - values[p[1]]
             cur = best[p]
             if cur is None or diff > cur[0]:
-                best[p] = (diff, index, write_graph6(g))
+                best[p] = (diff, g)
         if law_checks and stats.law_violations and key not in reported_bad_keys:
             reported_bad_keys.add(key)
-            failures.extend(
-                (index, write_graph6(g), msg) for msg in stats.law_violations
-            )
-    if scanned == 0:
-        raise GraphError("graph source produced no graphs")
+            g6 = write_graph6(g)
+            failures.extend((index, g6, msg) for msg in stats.law_violations)
+    n = g.n  # graphs() yields at least one graph or raises
     reports = {
-        p: ExtremalReport(p[0], p[1], g.n, best[p][0], best[p][2], scanned)
-        for p in pairs
+        p: ExtremalReport(p[0], p[1], n, diff, write_graph6(w), scanned)
+        for p, (diff, w) in best.items()
     }
-    return SweepResult(g.n, scanned, reports, failures)
+    return SweepResult(n, scanned, reports, failures)
+
+
+def _check_tag(tag):
+    if tag not in TAGS:
+        raise ValueError(f"unknown invariant tag {tag!r}; choose from {TAGS}")
 
 
 def extremal_difference(xi1, xi2, source):

@@ -124,6 +124,17 @@ class TestExtremal:
         assert code == 1
         assert "stream" in err
 
+    def test_missing_stream_fails_before_any_sweep(self, capsys, monkeypatch):
+        from resolvability import cli
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept an order before checking every source")
+
+        monkeypatch.setattr(cli, "extremal_difference", no_sweep)
+        code, _, err = run(capsys, "extremal", "psi", "beta_E", "5..8")
+        assert code == 1
+        assert "stream" in err
+
     def test_json_csv_same_values(self, capsys):
         code, out_csv, _ = run(capsys, "extremal", "mhs_strict", "mhs_weak",
                                "4..5", "--format", "csv")

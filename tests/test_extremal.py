@@ -10,10 +10,22 @@ from resolvability import (
     parse_graph6,
     write_graph6,
 )
-from resolvability.extremal import GraphSource, sweep
+from resolvability import extremal
+from resolvability.extremal import (
+    THEOREM_PAIRS,
+    GraphSource,
+    _degree_sorted_key,
+    sweep,
+)
 from resolvability.graph import Graph, from_edge_list
 
 from conftest import random_connected_graph
+
+
+def _write_stream(path, graphs):
+    with open(path, "w") as fh:
+        for g in graphs:
+            fh.write(write_graph6(g) + "\n")
 
 
 def _connected_by_dfs(n, edge_set):
@@ -113,6 +125,16 @@ class TestExtremalDifference:
             values = invariant_values(parse_graph6(report.witness_graph6))
             assert values[xi1] - values[xi2] == report.max_diff
 
+    def test_witness_is_first_maximizer(self):
+        graphs = list(enumerate_connected(4))
+        values = [invariant_values(g) for g in graphs]
+        result = sweep(GraphSource.enumeration(4))
+        for (xi1, xi2), report in result.reports.items():
+            diffs = [v[xi1] - v[xi2] for v in values]
+            first = graphs[diffs.index(max(diffs))]
+            assert report.max_diff == max(diffs)
+            assert report.witness_graph6 == write_graph6(first)
+
     def test_deterministic(self):
         a = extremal_difference("psi", "mhs_weak", GraphSource.enumeration(4))
         b = extremal_difference("psi", "mhs_weak", GraphSource.enumeration(4))
@@ -124,28 +146,20 @@ class TestExtremalDifference:
 
 
 class TestStreamSource:
-    @pytest.fixture()
-    def stream_n5(self, tmp_path):
-        p = tmp_path / "n5.g6"
-        with open(p, "w") as fh:
-            for g in enumerate_connected(5):
-                fh.write(write_graph6(g) + "\n")
-        return str(p)
-
-    def test_stream_agrees_with_builtin(self, stream_n5):
-        for xi1, xi2 in (("psi", "mhs_weak"), ("mhs_strict", "mhs_weak"),
-                         ("beta_M", "mhs_strict"), ("psi", "beta_E")):
-            builtin = extremal_difference(xi1, xi2, GraphSource.enumeration(5))
-            stream = extremal_difference(
-                xi1, xi2, GraphSource.graph6_file(stream_n5))
-            assert stream.max_diff == builtin.max_diff
-            assert stream.graphs_scanned == builtin.graphs_scanned
-            assert stream.witness_graph6 == builtin.witness_graph6
+    def test_stream_agrees_with_builtin(self, tmp_path):
+        for n in (5, 6):
+            p = tmp_path / f"n{n}.g6"
+            _write_stream(p, enumerate_connected(n))
+            builtin = sweep(GraphSource.enumeration(n), THEOREM_PAIRS,
+                            law_checks=True)
+            stream = sweep(GraphSource.graph6_file(str(p)), THEOREM_PAIRS,
+                           law_checks=True)
+            assert stream == builtin
 
     def test_empty_stream(self, tmp_path):
         p = tmp_path / "empty.g6"
-        p.write_text("")
-        with pytest.raises(GraphError):
+        p.write_text("\n  \n")
+        with pytest.raises(GraphError, match="empty.g6: stream holds no graphs"):
             extremal_difference("psi", "mhs_weak",
                                 GraphSource.graph6_file(str(p)))
 
@@ -175,3 +189,26 @@ class TestSweepLaws:
         result = sweep(GraphSource.enumeration(n), pairs=(), law_checks=True)
         assert result.law_failures == []
         assert result.graphs_scanned == sum(1 for _ in enumerate_connected(n))
+
+    def test_law_failures_reported_once_per_key(self, monkeypatch, tmp_path):
+        def flag_paths(n, values, maximal_neighbour, delta, is_path):
+            return ("flagged path",) if is_path else ()
+
+        monkeypatch.setattr(extremal, "_law_violations", flag_paths)
+        graphs = list(enumerate_connected(4))
+        paths = [i for i, g in enumerate(graphs)
+                 if g.num_edges() == 3 and max(g.degrees()) == 2]
+        result = sweep(GraphSource.enumeration(4), pairs=(), law_checks=True)
+        failures = result.law_failures
+        for index, g6, msg in failures:
+            assert index in paths
+            assert (g6, msg) == (write_graph6(graphs[index]), "flagged path")
+        assert failures[0][0] == paths[0]
+        keys = [_degree_sorted_key(4, graphs[i].adj) for i, _, _ in failures]
+        assert len(set(keys)) == len(keys)
+        assert set(keys) == {_degree_sorted_key(4, graphs[i].adj) for i in paths}
+        p = tmp_path / "n4.g6"
+        _write_stream(p, graphs)
+        stream = sweep(GraphSource.graph6_file(str(p)), pairs=(),
+                       law_checks=True)
+        assert stream.law_failures == failures

@@ -83,6 +83,17 @@ def test_bad_range():
         verify_theorems(5, 3)
 
 
+def test_missing_stream_fails_before_any_sweep(monkeypatch):
+    from resolvability import GraphError, verify
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept an order before checking every source")
+
+    monkeypatch.setattr(verify, "sweep", no_sweep)
+    with pytest.raises(GraphError, match="stream"):
+        verify_theorems(3, 8)
+
+
 def test_check_line_format():
     line = verify_order(3)[0].line()
     assert line.startswith("[PASS]") or line.startswith("[FAIL]")

@@ -142,6 +142,13 @@ def _source_for(n, stream):
 
 def cmd_extremal(args):
     lo, hi = _parse_range(args.range)
+    first_streamed = max(lo, MAX_BUILTIN_N + 1)
+    if args.stream and hi > first_streamed:
+        raise GraphError(
+            f"--stream serves one order, but {args.range} holds orders "
+            f"{first_streamed}..{hi} above {MAX_BUILTIN_N}; "
+            "sweep one order per stream"
+        )
     # every order's source is checked before the first sweep
     sources = [_source_for(n, args.stream) for n in range(lo, hi + 1)]
     rows = []

@@ -1,12 +1,16 @@
 """Exact minimum hitting set over small universes (n <= 62).
 
 Sets are ``int`` bitmasks over universe 0..n-1. The exact solver runs
-reduction rules (forced singletons, dominated-set removal), then a
-depth-first search that branches on vertices in increasing index order
-with a disjoint-packing lower bound. Searching cardinalities in
-increasing order and vertices in index order makes the first solution
-found both minimum and lexicographically smallest (as a sorted vertex
-sequence), so witnesses are deterministic.
+reduction rules (forced singletons, dominated-set removal), then stores
+the reduced family transposed: one bitmask per vertex over set indices,
+so "the sets still unhit after picking v" is one AND. A depth-first
+search branches on vertices in increasing index order under a budget
+that grows 1, 2, ...; it drops a node when an unhit set has only
+vertices it already skipped, or when a disjoint packing of unhit sets,
+cut to the vertices it may still choose, needs more than the budget.
+Both prunes drop only subtrees without a solution, so the first
+solution found is both minimum and lexicographically smallest (as a
+sorted vertex sequence), and witnesses are deterministic.
 """
 
 from dataclasses import dataclass
@@ -85,47 +89,39 @@ def _reduce(sets):
     return forced, kept
 
 
-def _packing_bound(sets):
-    """Size of a maximal pairwise-disjoint subfamily: every member needs
-    its own element, so this lower-bounds the hitting set size."""
-    used = 0
-    count = 0
-    for s in sets:
-        if not s & used:
-            used |= s
-            count += 1
-    return count
-
-
-def _lex_search(n, sets, budget, start=0):
-    """First (lex-smallest) hitting set of at most ``budget`` vertices,
-    choosing vertices in increasing index order, or None."""
-    if not sets:
-        return 0
-    if budget == 0:
-        return None
-    if _packing_bound(sets) > budget:
-        return None
-    avail = -1 << start
-    union = 0
-    for s in sets:
-        if not s & avail:
-            return None  # some set only has vertices already skipped
-        union |= s
-    for v in range(start, n):
-        bit = 1 << v
-        if not union & bit:
-            continue
-        rest = [s for s in sets if not s & bit]
-        sub = _lex_search(n, rest, budget - 1, v + 1)
-        if sub is not None:
-            return bit | sub
-    return None
+def _transpose(n, sets):
+    """Index the family by vertex: ``cover[v]`` is the bitmask of the
+    indices of the sets containing v, and ``below[t]`` that of the sets
+    whose vertices all lie below t (t = 0..n)."""
+    cover = [0] * n
+    below = [0] * (n + 1)
+    for i, s in enumerate(sets):
+        bit = 1 << i
+        for v in iter_bits(s):
+            cover[v] |= bit
+        below[s.bit_length()] |= bit
+    for t in range(1, n + 1):
+        below[t] |= below[t - 1]
+    return cover, below
 
 
 def min_hitting_exact(n, sets, use_reductions=True):
     """Exact minimum hitting set with the lexicographically smallest
     optimal witness (compared as sorted vertex-index sequences).
+
+    After the reductions, the search tries budgets 1, 2, ... and returns
+    the first hitting set it meets within a budget, choosing vertices in
+    increasing index order. Its nodes are ``(unhit, budget, start)``:
+    ``unhit`` is the bitmask of set indices not yet hit and only vertices
+    >= ``start`` may still be chosen. Picking v leaves
+    ``unhit & ~cover[v]``. A node is dropped when more than ``budget``
+    unhit sets, each cut to the vertices >= ``start``, are pairwise
+    disjoint; its branching stops at the first v with an unhit set lying
+    wholly below v (``unhit & below[v]``), all of whose vertices were
+    skipped. Both prunes drop only subtrees that hold no hitting set
+    within the budget, so the first solution found is the one a plain
+    index-order search would meet first: the lexicographically smallest
+    optimum.
 
     An empty family yields the empty set of cardinality 0.
     """
@@ -136,9 +132,39 @@ def min_hitting_exact(n, sets, use_reductions=True):
         forced, work = 0, sorted(set(sets), key=lambda s: (s.bit_count(), s))
     if not work:
         return HittingSolution(forced, forced.bit_count())
-    ub = greedy_hitting(n, work).bit_count()
-    for extra in range(_packing_bound(work), ub + 1):
-        found = _lex_search(n, work, extra)
+    cover, below = _transpose(n, work)
+
+    def search(unhit, budget, start):
+        # every unhit set keeps a vertex >= start, since the loop below
+        # stops before it skips the last vertex of an unhit set; so each
+        # packed set clears at least itself and the packing loop ends
+        if not unhit:
+            return 0
+        avail = -1 << start
+        rest = unhit
+        packed = 0
+        while rest:
+            packed += 1
+            if packed > budget:
+                return None
+            s = work[(rest & -rest).bit_length() - 1] & avail
+            while s:
+                low = s & -s
+                rest &= ~cover[low.bit_length() - 1]
+                s ^= low
+        for v in range(start, n):
+            if unhit & below[v]:
+                return None  # a set whose vertices were all skipped
+            if unhit & cover[v]:
+                sub = search(unhit & ~cover[v], budget - 1, v + 1)
+                if sub is not None:
+                    return 1 << v | sub
+        return None
+
+    # a budget below the packing bound fails in the root's packing loop
+    everything = (1 << len(work)) - 1
+    for extra in range(1, greedy_hitting(n, work).bit_count() + 1):
+        found = search(everything, extra, 0)
         if found is not None:
             # forced vertices belong to every hitting set, and every
             # optimum uses exactly ``extra`` further vertices, so the

@@ -135,6 +135,24 @@ class TestExtremal:
         assert code == 1
         assert "stream" in err
 
+    def test_one_stream_for_two_orders_fails_before_any_sweep(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        from resolvability import cli, path, write_graph6
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept an order with another order's stream")
+
+        monkeypatch.setattr(cli, "extremal_difference", no_sweep)
+        p = tmp_path / "p8.g6"
+        p.write_text(write_graph6(path(8)) + "\n")
+        for span in ("8..9", "6..9"):
+            code, _, err = run(capsys, "extremal", "psi", "beta_E", span,
+                               "--stream", str(p))
+            assert code == 1
+            assert "--stream serves one order" in err
+            assert "8..9" in err
+
     def test_json_csv_same_values(self, capsys):
         code, out_csv, _ = run(capsys, "extremal", "mhs_strict", "mhs_weak",
                                "4..5", "--format", "csv")

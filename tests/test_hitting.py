@@ -9,17 +9,21 @@ from resolvability import (
     all_pairs_distances,
     brute_force_min_hitting,
     complete,
+    edge_pair_family,
     family_strict,
     family_weak,
     greedy_hitting,
     min_hitting_exact,
+    mixed_pair_family,
     path,
     star,
     verify_hitting,
+    vertex_pair_family,
 )
+from resolvability.families import psi_family
 from resolvability.graph import mask_of
 
-from conftest import random_hitting_instance
+from conftest import random_connected_graph, random_hitting_instance
 
 
 class TestVerify:
@@ -130,3 +134,31 @@ class TestOracleEquivalence:
         oracle = brute_force_min_hitting(n, sets)
         sol = min_hitting_exact(n, sets)
         assert (sol.size, sol.mask) == (oracle.size, oracle.mask)
+
+
+RESOLVER_BUILDERS = (
+    family_strict,
+    family_weak,
+    vertex_pair_family,
+    edge_pair_family,
+    mixed_pair_family,
+    psi_family,
+)
+
+
+class TestResolverFamilies:
+    @pytest.mark.parametrize(
+        "builder", RESOLVER_BUILDERS, ids=lambda b: b.__name__
+    )
+    def test_matches_brute_force(self, builder):
+        # real resolver families: larger and more structured than the
+        # random instances above (many nested and overlapping sets)
+        rng = random.Random(99)
+        for _ in range(60):
+            g = random_connected_graph(rng, n_min=4, n_max=9)
+            sets = builder(g, all_pairs_distances(g)).sets
+            oracle = brute_force_min_hitting(g.n, sets)
+            for use_reductions in (True, False):
+                sol = min_hitting_exact(
+                    g.n, sets, use_reductions=use_reductions)
+                assert (sol.size, sol.mask) == (oracle.size, oracle.mask)

@@ -204,3 +204,57 @@ class TestResults:
         assert rec["n"] == 4 and rec["m"] == 3
         assert rec["beta"] == 1 and rec["psi"] == 2
         assert rec["witnesses"]["mhs_strict"] == [1, 4]
+
+
+# Values and lexicographically smallest witnesses on graphs too large for
+# brute force, recorded before the hitting-set search was rewritten over
+# a vertex-indexed family. Any change to the search order, its prunes or
+# the reductions that alters a witness shows here.
+PINNED = [
+    (
+        lambda: t_prime_tree(20),
+        "ShCGGC@?G?g?G?C?@??G??_?@??@???_?",
+        {
+            "beta": (2, (0, 10)),
+            "beta_E": (2, (0, 10)),
+            "beta_M": (11, (0, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19)),
+            "psi": (11, (0, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19)),
+            "mhs_strict": (11, (0, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19)),
+            "mhs_weak": (11, (0, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19)),
+        },
+    ),
+    (
+        lambda: random_connected_graph(random.Random(11), 16, 20),
+        "RxrQ|b`PNrNVnjvcBCqafxf}?Nvc`g",
+        {
+            "beta": (5, (0, 1, 2, 5, 8)),
+            "beta_E": (11, (0, 1, 4, 6, 7, 8, 10, 12, 13, 14, 16)),
+            "beta_M": (11, (3, 6, 7, 9, 10, 11, 12, 13, 16, 17, 18)),
+            "psi": (5, (0, 1, 2, 15, 16)),
+            "mhs_strict": (8, (0, 1, 3, 4, 9, 12, 15, 18)),
+            "mhs_weak": (3, (0, 1, 3)),
+        },
+    ),
+    (
+        lambda: random_connected_graph(random.Random(30), 16, 20),
+        "Sr[s]yAXIkk[el[GF]S}Y[Z_NJUBswP{w",
+        {
+            "beta": (5, (0, 1, 3, 6, 10)),
+            "beta_E": (10, (0, 1, 2, 3, 5, 6, 8, 9, 11, 15)),
+            "beta_M": (11, (0, 1, 2, 3, 4, 5, 7, 8, 11, 17, 19)),
+            "psi": (5, (0, 1, 3, 6, 10)),
+            "mhs_strict": (7, (0, 1, 2, 3, 8, 15, 17)),
+            "mhs_weak": (3, (0, 1, 19)),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, graph6, expected", PINNED, ids=["tprime20", "dense19", "dense20"]
+)
+def test_pinned_witnesses(make, graph6, expected):
+    g = make()
+    assert write_graph6(g) == graph6
+    got = {tag: (r.value, r.witness) for tag, r in all_invariants(g).items()}
+    assert got == expected

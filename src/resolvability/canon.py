@@ -1,0 +1,79 @@
+"""Canonical forms of small graphs, by partition refinement and
+individualization (after McKay & Piperno, J. Symb. Comput. 60 (2014)).
+
+``canonical_form(n, adj)`` starts from the vertices grouped by degree,
+refines that ordered partition until it is equitable (every vertex of a
+cell has the same number of neighbours in each cell), and then branches
+on each vertex of the first cell with more than one vertex in turn,
+individualizing it and refining again. Every discrete partition the
+search reaches is a relabeling of the graph; the form is the smallest
+``relabeled_mask`` over them. Each step commutes with relabeling, so
+isomorphic graphs reach the same set of relabeled graphs: equal forms
+mean isomorphic graphs and the converse holds by construction.
+
+There is no orbit pruning, so a graph with many automorphisms visits
+many leaves (K_n visits n!). That keeps the search to the small orders
+of the builtin enumeration.
+"""
+
+from .graph import iter_bits
+
+
+def relabeled_mask(n, adj, order):
+    """Adjacency matrix of the graph relabeled so that vertex ``order[j]``
+    becomes j, as an int with bit n*j + i set iff j and i are adjacent."""
+    col = ((1 << n * n) - 1) // ((1 << n) - 1)  # bit 0 of every row
+    rows = 0
+    for v in reversed(order):
+        rows = rows << n | adj[v]
+    mask = 0
+    for j, v in enumerate(order):
+        mask |= (rows >> v & col) << j  # column order[j] of every row
+    return mask
+
+
+def _refine(adj, cells):
+    """Split the ordered cells (vertex bitmasks) until the partition is
+    equitable. A cell splits by each vertex's neighbour counts into all
+    cells, smallest count vector first."""
+    while True:
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            groups = {}
+            for v in iter_bits(cell):
+                a = adj[v]
+                sig = tuple([(a & c).bit_count() for c in cells])
+                groups[sig] = groups.get(sig, 0) | 1 << v
+            out.extend(groups[sig] for sig in sorted(groups))
+        if len(out) == len(cells):
+            return out
+        cells = out
+
+
+def canonical_form(n, adj):
+    """Smallest relabeled adjacency mask over the leaves of the
+    individualization-refinement search; equal for two graphs on n
+    vertices iff they are isomorphic."""
+    by_degree = {}
+    for v, a in enumerate(adj):
+        d = a.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    best = None
+    stack = [_refine(adj, [by_degree[d] for d in sorted(by_degree)])]
+    while stack:
+        cells = stack.pop()
+        target = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if target is None:
+            form = relabeled_mask(n, adj, [c.bit_length() - 1 for c in cells])
+            if best is None or form < best:
+                best = form
+            continue
+        cell = cells[target]
+        head, tail = cells[:target], cells[target + 1:]
+        for v in iter_bits(cell):
+            bit = 1 << v
+            stack.append(_refine(adj, head + [bit, cell & ~bit] + tail))
+    return best

@@ -109,13 +109,10 @@ def cmd_families(args):
     rows = []
     ok = True
     for n in range(lo, hi + 1):
-        if args.family == "bipartite":
-            g = gr.complete_bipartite(2, n)
-            params = (2, n)
-        else:
-            g = gr.generate(f"{args.family}:{n}")
-            params = (n,)
-        results = all_invariants(g)
+        # the closed forms of the bipartite family are those of K_{2,N}
+        params = (2, n) if args.family == "bipartite" else (n,)
+        spec = f"{args.family}:{','.join(map(str, params))}"
+        results = all_invariants(gr.generate(spec))
         formulas = family_formula(args.family, params)
         for tag in TAGS:
             if tag not in formulas:
@@ -125,12 +122,14 @@ def cmd_families(args):
             match = got == want
             ok = ok and match
             rows.append({
-                "family": args.family, "param": n, "invariant": tag,
+                "family": args.family, "param": n, "graph": spec,
+                "invariant": tag,
                 "formula": want, "computed": got,
                 "status": "ok" if match else "MISMATCH",
             })
     _emit(rows, args.format, args.out,
-          ["family", "param", "invariant", "formula", "computed", "status"])
+          ["family", "param", "graph", "invariant", "formula", "computed",
+           "status"])
     return 0 if ok else 2
 
 
@@ -208,9 +207,15 @@ def build_parser():
     p.add_argument("--invariants", help="comma list of tags (default: all)")
     p.set_defaults(func=cmd_compute)
 
-    p = sub.add_parser("families", help="computed-vs-formula family table")
+    p = sub.add_parser(
+        "families", help="computed-vs-formula family table",
+        description="Compare computed invariants with the closed forms of "
+                    "a named family over a parameter range. For "
+                    "'bipartite' the parameter N means K_{2,N} "
+                    "(compute --gen bipartite:2,N).")
     p.add_argument("family", choices=sorted(gr.GENERATORS))
-    p.add_argument("range", help="parameter range, e.g. 2..10")
+    p.add_argument("range", help="parameter range, e.g. 2..10 "
+                                 "(bipartite N is K_{2,N})")
     p.set_defaults(func=cmd_families)
 
     p = sub.add_parser("extremal", help="extremal difference sweep")

@@ -1,27 +1,33 @@
 """Exhaustive enumeration and extremal-difference verification.
 
 The builtin enumerator walks every labeled connected simple graph of
-order n <= 7 (all edge-subset masks, connectivity-filtered, no
-isomorphism rejection). Orders 8 and 9 are reachable through external
+order n <= 7 in edge-mask order, with no isomorphism rejection. It runs
+in blocks: for each neighbourhood of the last vertex, over the graphs on
+the other vertices, keeping those whose every component the
+neighbourhood meets. Orders 8 and 9 are reachable through external
 graph6 streams, one graph per line; exhaustiveness of such a stream is
 the caller's claim, not ours.
 
 ``sweep`` is one loop over ``GraphSource.graphs()`` for either kind of
 source. Because all six invariants are functions of the unlabeled
 graph, the maximum of a difference over the labeled stream equals the
-maximum over isomorphism classes. The sweep uses the same fact to
-compute invariant values once per degree-sorted relabeling key (equal
-keys always mean isomorphic graphs, so this is sound even though
-distinct keys may still be isomorphic). That class table lives for one
-sweep.
+maximum over isomorphism classes. Per graph the sweep computes only a
+degree-sorted relabeling key (equal keys always mean isomorphic graphs)
+and skips a key it has seen; the first graph of each key enters the
+reduction and is where a law failure is reported. For n <= 7 a new key
+is folded into its isomorphism class by ``canon.canonical_form``, so
+the invariants are computed once per class; above 7 once per key. The
+class table lives for one sweep.
 """
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import or_
 
+from .canon import canonical_form, relabeled_mask
 from .graph import (
     Graph,
     GraphError,
-    _reachable_from_zero,
     is_connected,
     is_maximal_neighbour_graph,
     max_degree,
@@ -114,39 +120,67 @@ class GraphSource:
 
 def enumerate_connected(n):
     """Yield every labeled connected simple graph on n vertices exactly
-    once, in increasing edge-mask order."""
+    once, in increasing edge-mask order (mask bit b is the b-th pair
+    (i, j), i < j, in column order).
+
+    The top n - 1 mask bits are the neighbourhood N of the last vertex
+    and the bits below them a graph H on the other vertices, so the loop
+    runs over N and then over H in mask order. The graph is connected
+    iff N meets every component of H. H's component partition is a
+    byte-sized id per mask, and H itself is the graph on the first
+    n - 2 vertices (a table of all of them) plus the neighbourhood of
+    vertex n - 2.
+    """
     if not 2 <= n <= MAX_BUILTIN_N:
         raise GraphError(f"builtin enumeration supports 2 <= n <= {MAX_BUILTIN_N}")
-    full = (1 << n) - 1
-    # mask bit b is the b-th pair (i, j), i < j, in column order
-    slots = [(i, j, 1 << i, 1 << j) for j in range(1, n) for i in range(j)]
-    for mask in range(1 << len(slots)):
-        adj = [0] * n
-        for i, j, bit_i, bit_j in slots:
-            if mask & 1:
-                adj[i] |= bit_j
-                adj[j] |= bit_i
-            mask >>= 1
-        if _reachable_from_zero(adj) == full:
-            yield Graph(n, adj)
+    a, b = n - 2, n - 1  # the last two vertices
+    # graphs on vertices 0..a-1 in mask order, each with its components
+    small, small_comps = [()], [()]
+    for v in range(a):
+        small = [(*[x | (nv >> u & 1) << v for u, x in enumerate(s)], nv)
+                 for nv in range(1 << v) for s in small]
+        small_comps = [_join(comps, nv, v)
+                       for nv in range(1 << v) for comps in small_comps]
+    # component partition id of each H, indexed by H's mask; na is the
+    # neighbourhood of vertex a, nb (below) that of vertex b
+    ids = {}
+    part_id = bytearray(
+        ids.setdefault(tuple(sorted(_join(comps, na, a))), len(ids))
+        for na in range(1 << a) for comps in small_comps
+    )
+    size = len(small)
+    for nb in range(1, 1 << b):
+        meets = bytes(all(c & nb for c in part) for part in ids)
+        connected = part_id.translate(meets.ljust(256, b"\0"))
+        for na in range(1 << a):
+            # edges from the vertices below a to a and b
+            extra = [(na >> u & 1) << a | (nb >> u & 1) << b for u in range(a)]
+            tail = (na | (nb >> a & 1) << b, nb)
+            for s in compress(small, connected[na * size:(na + 1) * size]):
+                yield Graph(n, (*map(or_, s, extra), *tail))
+
+
+def _join(comps, nv, v):
+    """Components after adding vertex v with neighbourhood nv."""
+    joined = 1 << v
+    out = []
+    for c in comps:
+        if c & nv:
+            joined |= c
+        else:
+            out.append(c)
+    out.append(joined)
+    return out
 
 
 def _degree_sorted_key(n, adj):
-    """Adjacency mask after relabeling vertices by (degree, index).
+    """Adjacency matrix after relabeling vertices by (degree, index).
 
     Key equality implies isomorphism (both graphs relabel to the same
     labeled graph), which makes it a sound cache key.
     """
-    order = sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
-    key = 0
-    b = 0
-    for j in range(1, n):
-        aj = adj[order[j]]
-        for i in range(j):
-            if aj >> order[i] & 1:
-                key |= 1 << b
-            b += 1
-    return key
+    return relabeled_mask(
+        n, adj, sorted(range(n), key=list(map(int.bit_count, adj)).__getitem__))
 
 
 @dataclass(frozen=True)
@@ -182,9 +216,9 @@ def _law_violations(n, values, maximal_neighbour, delta, is_path):
 
 def _class_stats(classes, key, g):
     """Invariant values and law violations of g's class, computed on g
-    itself the first time ``key`` appears in ``classes``. Equal
-    degree-sorted keys mean isomorphic graphs, so any member of the class
-    gives the same values."""
+    itself the first time ``key`` appears in ``classes``. A key names a
+    class of isomorphic graphs, so any member of the class gives the
+    same values."""
     stats = classes.get(key)
     if stats is None:
         n = g.n
@@ -208,20 +242,30 @@ def sweep(source, pairs=THEOREM_PAIRS, law_checks=False):
     """One pass over a graph source, reducing the requested extremal
     differences (first maximizer in stream order wins) and optionally
     collecting pointwise law failures, once per degree-sorted key.
+
+    Graphs with a key seen before are isomorphic to that key's first
+    graph, so they repeat its values: only first graphs of their key
+    enter the reduction, and a law failure is reported at the first
+    graph of each failing key.
     """
     pairs = tuple(pairs)
     for xi1, xi2 in pairs:
         _check_tag(xi1)
         _check_tag(xi2)
-    classes = {}  # degree-sorted key -> _ClassStats, for this sweep only
+    classes = {}  # class -> _ClassStats, for this sweep only
+    keys = set()  # degree-sorted keys seen so far
     best = dict.fromkeys(pairs)  # (diff, first graph with it)
     failures = []
-    reported_bad_keys = set()
-    scanned = 0
-    for g in source.graphs():
-        index = scanned
-        scanned += 1
+    for index, g in enumerate(source.graphs()):
         key = _degree_sorted_key(g.n, g.adj)
+        if key in keys:
+            continue
+        keys.add(key)
+        if g.n <= MAX_BUILTIN_N:
+            # fold the key into its isomorphism class; above this order
+            # the canonical search, with no orbit pruning, would cost
+            # K_n n! leaves
+            key = canonical_form(g.n, g.adj)
         stats = _class_stats(classes, key, g)
         values = stats.values
         for p in pairs:
@@ -229,11 +273,11 @@ def sweep(source, pairs=THEOREM_PAIRS, law_checks=False):
             cur = best[p]
             if cur is None or diff > cur[0]:
                 best[p] = (diff, g)
-        if law_checks and stats.law_violations and key not in reported_bad_keys:
-            reported_bad_keys.add(key)
+        if law_checks and stats.law_violations:
             g6 = write_graph6(g)
             failures.extend((index, g6, msg) for msg in stats.law_violations)
-    n = g.n  # graphs() yields at least one graph or raises
+    # graphs() yields at least one graph or raises
+    n, scanned = g.n, index + 1
     reports = {
         p: ExtremalReport(p[0], p[1], n, diff, write_graph6(w), scanned)
         for p, (diff, w) in best.items()

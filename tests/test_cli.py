@@ -106,6 +106,23 @@ class TestFamilies:
                if r["invariant"] == "psi"]
         assert psi == [2 if n % 2 else 3 for n in range(3, 11)]
 
+    def test_bipartite_means_k2n(self, capsys):
+        code, out, _ = run(capsys, "families", "bipartite", "3..5",
+                           "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert {r["param"] for r in rows} == {"3", "4", "5"}
+        for row in rows:
+            assert row["graph"] == f"bipartite:2,{row['param']}"
+            _, record, _ = run(capsys, "compute", "--gen", row["graph"],
+                               "--format", "json")
+            record = json.loads(record)[0]
+            assert record["n"] == int(row["param"]) + 2
+            assert record[row["invariant"]] == int(row["computed"])
+        with pytest.raises(SystemExit):
+            run(capsys, "families", "--help")
+        assert "K_{2,N}" in capsys.readouterr().out
+
     def test_below_minimum(self, capsys):
         code, _, err = run(capsys, "families", "cycle", "2..4")
         assert code == 1

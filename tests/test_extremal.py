@@ -44,7 +44,26 @@ def _connected_by_dfs(n, edge_set):
     return len(seen) == n
 
 
+def _slot_unpack_enumeration(n):
+    """Every edge mask on n vertices in increasing order (bit b is the
+    b-th pair (i, j), i < j, in column order), keeping connected ones."""
+    slots = [(i, j) for j in range(1, n) for i in range(j)]
+    for mask in range(1 << len(slots)):
+        edges = [p for b, p in enumerate(slots) if mask >> b & 1]
+        if _connected_by_dfs(n, edges):
+            yield from_edge_list(n, edges)
+
+
+# connected graphs up to isomorphism (OEIS A001349)
+A001349 = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+
+
 class TestEnumeration:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_same_sequence_as_slot_unpack(self, n):
+        # witnesses are first maximizers, so the order matters too
+        assert list(enumerate_connected(n)) == list(_slot_unpack_enumeration(n))
+
     def test_n2_single_graph(self):
         graphs = list(enumerate_connected(2))
         assert len(graphs) == 1
@@ -212,3 +231,36 @@ class TestSweepLaws:
         stream = sweep(GraphSource.graph6_file(str(p)), pairs=(),
                        law_checks=True)
         assert stream.law_failures == failures
+
+    @pytest.mark.parametrize("n", (5, 6))
+    def test_law_failures_match_naive_scan(self, monkeypatch, n):
+        def flag_paths(n, values, maximal_neighbour, delta, is_path):
+            return ("flagged path",) if is_path else ()
+
+        monkeypatch.setattr(extremal, "_law_violations", flag_paths)
+        # naive: the first graph of each degree key that is a path
+        expected, keys = [], set()
+        for index, g in enumerate(enumerate_connected(n)):
+            key = _degree_sorted_key(n, g.adj)
+            if key in keys:
+                continue
+            keys.add(key)
+            if g.num_edges() == n - 1 and max(g.degrees()) == 2:
+                expected.append((index, write_graph6(g), "flagged path"))
+        assert len(expected) > 1  # one isomorphism class, many keys
+        result = sweep(GraphSource.enumeration(n), pairs=(), law_checks=True)
+        assert result.law_failures == expected
+
+
+class TestClassSolves:
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_one_solve_per_isomorphism_class(self, monkeypatch, n):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return invariant_values(g)
+
+        monkeypatch.setattr(extremal, "invariant_values", counted)
+        sweep(GraphSource.enumeration(n), THEOREM_PAIRS, law_checks=True)
+        assert len(calls) == A001349[n]

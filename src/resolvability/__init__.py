@@ -50,7 +50,6 @@ from .invariants import (
     InvariantResult,
     all_invariants,
     doubly_metric_dimension,
-    edge_dim_log_bound_check,
     edge_metric_dimension,
     invariant_values,
     metric_dimension,

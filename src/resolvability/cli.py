@@ -53,11 +53,12 @@ def _emit(rows, fmt, out, columns):
 def _parse_range(text):
     lo, sep, hi = text.partition("..")
     try:
-        if sep:
-            return int(lo), int(hi)
-        return int(lo), int(lo)
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
         raise GraphError(f"bad range {text!r}, expected N or N..M") from None
+    if hi < lo:
+        raise GraphError(f"empty range {text!r}: {hi} < {lo}")
+    return lo, hi
 
 
 def _load_graph(args):
@@ -77,19 +78,9 @@ def cmd_compute(args):
     selected = TAGS
     if args.invariants:
         selected = tuple(t.strip() for t in args.invariants.split(","))
-        for t in selected:
-            if t not in TAGS:
-                raise GraphError(f"unknown invariant {t!r}; choose from {TAGS}")
-    results = all_invariants(g)
-    record = result_record(g, write_graph6(g), results)
+    results = all_invariants(g, selected)
     if args.format == "json":
-        record = {
-            k: v for k, v in record.items()
-            if k in ("graph6", "n", "m") or k in selected or k == "witnesses"
-        }
-        record["witnesses"] = {
-            t: w for t, w in record["witnesses"].items() if t in selected
-        }
+        record = result_record(g, write_graph6(g), results)
         _emit([record], "json", args.out, [])
         return 0
     rows = [
@@ -112,11 +103,11 @@ def cmd_families(args):
         # the closed forms of the bipartite family are those of K_{2,N}
         params = (2, n) if args.family == "bipartite" else (n,)
         spec = f"{args.family}:{','.join(map(str, params))}"
-        results = all_invariants(gr.generate(spec))
+        g = gr.generate(spec)
         formulas = family_formula(args.family, params)
-        for tag in TAGS:
-            if tag not in formulas:
-                continue
+        tags = [tag for tag in TAGS if tag in formulas]
+        results = all_invariants(g, tags)
+        for tag in tags:
             got = results[tag].value
             want = formulas[tag]
             match = got == want

@@ -33,7 +33,7 @@ from .graph import (
     max_degree,
 )
 from .graph6 import Graph6Error, parse_graph6, write_graph6
-from .invariants import TAGS, invariant_values
+from .invariants import check_tags, invariant_values
 
 MAX_BUILTIN_N = 7
 
@@ -249,9 +249,7 @@ def sweep(source, pairs=THEOREM_PAIRS, law_checks=False):
     graph of each failing key.
     """
     pairs = tuple(pairs)
-    for xi1, xi2 in pairs:
-        _check_tag(xi1)
-        _check_tag(xi2)
+    check_tags(tag for pair in pairs for tag in pair)
     classes = {}  # class -> _ClassStats, for this sweep only
     keys = set()  # degree-sorted keys seen so far
     best = dict.fromkeys(pairs)  # (diff, first graph with it)
@@ -283,11 +281,6 @@ def sweep(source, pairs=THEOREM_PAIRS, law_checks=False):
         for p, (diff, w) in best.items()
     }
     return SweepResult(n, scanned, reports, failures)
-
-
-def _check_tag(tag):
-    if tag not in TAGS:
-        raise ValueError(f"unknown invariant tag {tag!r}; choose from {TAGS}")
 
 
 def extremal_difference(xi1, xi2, source):

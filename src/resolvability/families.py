@@ -5,16 +5,19 @@ their complements Wbar(u,v) = {w : d(u,w) >= d(v,w)} drive the two
 hitting-set invariants. Pair families hold, for every unordered pair of
 items (vertices, edges, or both), the set of vertices that resolve the
 pair; minimum hitting sets of those families are the metric, edge
-metric and mixed metric dimensions. The psi family holds, for every
-vertex pair, the complements of the level sets of s -> d(u,s) - d(v,s);
-its minimum hitting sets are the minimum doubly resolving sets.
+metric and mixed metric dimensions. The mixed family is the vertex and
+edge pair families followed by the vertex-edge pairs, so
+``compose_mixed_family`` builds it from the other two without
+recomputing their sets. The psi family holds, for every vertex pair,
+the complements of the level sets of s -> d(u,s) - d(v,s); its minimum
+hitting sets are the minimum doubly resolving sets.
 
 All set-building functions are pure functions of immutable inputs.
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 from .graph import GraphError, bits_list
 
@@ -101,32 +104,28 @@ def family_weak(g, dist):
     return _w_family(g, dist, 2, "Wbar")
 
 
-def _vertex_label(v):
-    return f"v{v + 1}"
-
-
-def _edge_label(e):
-    return f"e(v{e[0] + 1},v{e[1] + 1})"
-
-
-def _pair_family(n, rows, item_labels):
-    """One resolver set per unordered pair of distinct items i < j:
-    {w : rows[i][w] != rows[j][w]}, where rows[i] is the distance vector
-    of item i. ``item_labels`` builds the item names for the labels."""
+def _pair_family(g, pairs, names):
+    """One resolver set {w : x[w] != y[w]} per pair (x, y) of distance
+    rows in ``pairs``; ``names()`` yields the matching pairs of item
+    names for the labels."""
+    n = g.n
     sets = []
-    for i, j in combinations(range(len(rows)), 2):
-        ri, rj = rows[i], rows[j]
+    for x, y in pairs:
         m = 0
         for w in range(n):
-            if ri[w] != rj[w]:
+            if x[w] != y[w]:
                 m |= 1 << w
         sets.append(m)
+    return SetFamily(n, tuple(sets), lambda: [
+        f"pair({a},{b})" for a, b in names()])
 
-    def labels():
-        names = item_labels()
-        return [f"pair({names[i]},{names[j]})"
-                for i, j in combinations(range(len(rows)), 2)]
-    return SetFamily(n, tuple(sets), labels)
+
+def _vertex_names(g):
+    return [f"v{v + 1}" for v in range(g.n)]
+
+
+def _edge_names(g):
+    return [f"e(v{u + 1},v{v + 1})" for u, v in g.edges()]
 
 
 def _edge_distance_rows(g, dist):
@@ -138,22 +137,31 @@ def _edge_distance_rows(g, dist):
 def vertex_pair_family(g, dist):
     """One resolver set per unordered pair of distinct vertices:
     {w : d(u,w) != d(v,w)}."""
-    return _pair_family(g.n, dist, lambda: [_vertex_label(v) for v in range(g.n)])
+    return _pair_family(g, combinations(dist, 2),
+                        lambda: combinations(_vertex_names(g), 2))
 
 
 def edge_pair_family(g, dist):
     """One resolver set per unordered pair of distinct edges."""
-    return _pair_family(g.n, _edge_distance_rows(g, dist),
-                        lambda: [_edge_label(e) for e in g.edges()])
+    return _pair_family(g, combinations(_edge_distance_rows(g, dist), 2),
+                        lambda: combinations(_edge_names(g), 2))
 
 
 def mixed_pair_family(g, dist):
-    """One resolver set per unordered pair of distinct items, items being
-    all vertices followed by all edges in canonical order."""
-    return _pair_family(
-        g.n, list(dist) + _edge_distance_rows(g, dist),
-        lambda: [_vertex_label(v) for v in range(g.n)]
-        + [_edge_label(e) for e in g.edges()])
+    """One resolver set per unordered pair of distinct items (vertices
+    and edges), in the order of ``compose_mixed_family``."""
+    return compose_mixed_family(
+        g, dist, vertex_pair_family(g, dist), edge_pair_family(g, dist))
+
+
+def compose_mixed_family(g, dist, vertex, edge):
+    """The mixed pair family from g's built vertex and edge pair
+    families: their sets, then one resolver set per (vertex, edge) pair
+    in vertex-major order. Only the vertex-edge sets are computed."""
+    cross = _pair_family(g, product(dist, _edge_distance_rows(g, dist)),
+                         lambda: product(_vertex_names(g), _edge_names(g)))
+    return SetFamily(g.n, vertex.sets + edge.sets + cross.sets, lambda: [
+        *vertex.labels, *edge.labels, *cross.labels])
 
 
 def psi_family(g, dist):

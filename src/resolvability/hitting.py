@@ -29,7 +29,6 @@ class InfeasibleInstanceError(ValueError):
 class HittingSolution:
     mask: int
     size: int
-    optimal: bool = True
 
     def vertices(self):
         return bits_list(self.mask)
@@ -163,7 +162,7 @@ def min_hitting_exact(n, sets, use_reductions=True):
 
     # a budget below the packing bound fails in the root's packing loop
     everything = (1 << len(work)) - 1
-    for extra in range(1, greedy_hitting(n, work).bit_count() + 1):
+    for extra in range(1, n + 1):
         found = search(everything, extra, 0)
         if found is not None:
             # forced vertices belong to every hitting set, and every
@@ -171,7 +170,7 @@ def min_hitting_exact(n, sets, use_reductions=True):
             # first solution in index order is the lex-min optimum.
             mask = forced | found
             return HittingSolution(mask, mask.bit_count())
-    raise AssertionError("greedy bound unreachable")  # pragma: no cover
+    raise AssertionError("the universe hits every set")  # pragma: no cover
 
 
 def brute_force_min_hitting(n, sets):

@@ -1,25 +1,52 @@
 """The six resolvability invariants with certifying witnesses.
 
 Every invariant is one pipeline: distance rows, then a set family, then
-the exact hitting-set solver, then a witness check. mhs_strict and
-mhs_weak are minimum hitting sets of the strict/weak W-set families;
-beta, beta_E and beta_M of the vertex-, edge- and mixed-pair resolver
-families; psi (the doubly metric dimension) of the psi family, whose
-hitting sets are exactly the doubly resolving sets.
+the exact hitting-set solver, then a witness check. ``_PIPELINE`` maps
+each tag to the function that builds its family, the tags whose families
+that function reuses, and any check beyond hitting the family.
+mhs_strict and mhs_weak are minimum hitting sets of the strict/weak
+W-set families; beta and beta_E of the vertex- and edge-pair resolver
+families, and beta_M of the mixed family, which is those two followed by
+the vertex-edge pairs; psi (the doubly metric dimension) of the psi
+family, whose hitting sets are exactly the doubly resolving sets.
 
-Every witness hits its family, and a psi witness is also re-checked by
-the two-witness definition (``is_doubly_resolving``), before it leaves
-this module.
+``all_invariants(g, tags)`` runs the tags it is given from one distance
+matrix and builds each family at most once, so beta_M reuses the beta
+and beta_E families; a family is dropped after its last use. Every
+witness hits its family, and a psi witness is also re-checked by the
+two-witness definition (``is_doubly_resolving``), before it leaves this
+module. The single-invariant functions wrap it.
 """
 
 from dataclasses import dataclass
-from math import ceil, log2
 
 from . import families as fam
-from .graph import GraphError, all_pairs_distances, bits_list, max_degree
+from .graph import GraphError, all_pairs_distances, bits_list
 from .hitting import min_hitting_exact, verify_hitting
 
 TAGS = ("beta", "beta_E", "beta_M", "psi", "mhs_strict", "mhs_weak")
+
+
+def check_tags(tags):
+    """Raise GraphError at the first tag that is not in TAGS."""
+    for tag in tags:
+        if tag not in TAGS:
+            raise GraphError(f"unknown invariant {tag!r}; choose from {TAGS}")
+
+
+# tag -> (family function, tags whose families it takes after the graph
+# and distances, witness check on (distances, witness) or None). Family
+# functions are looked up in ``families`` at call time, so a wrapper
+# installed there (a counting one in the tests) sees every build.
+_PIPELINE = {
+    "beta": (lambda g, d: fam.vertex_pair_family(g, d), (), None),
+    "beta_E": (lambda g, d: fam.edge_pair_family(g, d), (), None),
+    "beta_M": (lambda g, d, vertex, edge: fam.compose_mixed_family(
+        g, d, vertex, edge), ("beta", "beta_E"), None),
+    "psi": (lambda g, d: fam.psi_family(g, d), (), fam.is_doubly_resolving),
+    "mhs_strict": (lambda g, d: fam.family_strict(g, d), (), None),
+    "mhs_weak": (lambda g, d: fam.family_weak(g, d), (), None),
+}
 
 
 @dataclass(frozen=True)
@@ -32,109 +59,90 @@ class InvariantResult:
         return [v + 1 for v in self.witness]
 
 
-def _distances(g):
+def _solve(tag, family, dist):
+    sets = family.sets
+    # only P_2's edge-pair family is empty (one edge, no pair to resolve);
+    # the closed form beta_E(P_n) = 1 covers n = 2, with witness {v_1}
+    mask = min_hitting_exact(family.n, sets).mask if sets else 1
+    witness = bits_list(mask)
+    check = _PIPELINE[tag][2]
+    valid = verify_hitting(sets, mask) and (not check or check(dist, witness))
+    if not valid:  # pragma: no cover
+        raise RuntimeError(f"{tag}: solver returned an invalid witness")
+    return InvariantResult(tag, len(witness), witness)
+
+
+def all_invariants(g, tags=TAGS):
+    """The invariants named by ``tags`` (default all six) with
+    witnesses, as a dict tag -> InvariantResult in the order of
+    ``tags``. Only the families those tags need are built, each once."""
+    tags = tuple(dict.fromkeys(tags))  # each tag once, in order
+    check_tags(tags)
     if g.n < 2:
         raise GraphError("invariants are defined for graphs with n >= 2")
-    return all_pairs_distances(g)
+    dist = all_pairs_distances(g)
+    built = {}  # tag -> family, kept while a tag still to solve needs it
+
+    def family(tag):
+        if tag not in built:
+            build, parts, _ = _PIPELINE[tag]
+            built[tag] = build(g, dist, *map(family, parts))
+        return built[tag]
+
+    results = {}
+    for i, tag in enumerate(tags):
+        results[tag] = _solve(tag, family(tag), dist)
+        # families are the bulk of the memory, so each goes after its
+        # last use
+        later = {t for u in tags[i + 1:] for t in (u, *_PIPELINE[u][1])}
+        for done in built.keys() - later:
+            del built[done]
+    return results
 
 
-def _solve_family(g, family, tag):
-    for i, m in enumerate(family.sets):
-        if m == 0:
-            raise GraphError(f"{tag}: no vertex resolves {family.labels[i]}")
-    sol = min_hitting_exact(g.n, family.sets)
-    if not verify_hitting(family.sets, sol.mask):  # pragma: no cover
-        raise RuntimeError(f"{tag}: solver returned a non-hitting witness")
-    return InvariantResult(tag, sol.size, bits_list(sol.mask))
-
-
-def mhs_strict(g, dist=None):
-    """Minimum hitting set of {W_uv, W_vu | uv edge} (mhs_<)."""
-    dist = dist if dist is not None else _distances(g)
-    return _solve_family(g, fam.family_strict(g, dist), "mhs_strict")
-
-
-def mhs_weak(g, dist=None):
-    """Minimum hitting set of {Wbar_uv, Wbar_vu | uv edge} (mhs_<=)."""
-    dist = dist if dist is not None else _distances(g)
-    return _solve_family(g, fam.family_weak(g, dist), "mhs_weak")
-
-
-def metric_dimension(g, dist=None):
+def metric_dimension(g):
     """beta(G): minimum resolving set size."""
-    dist = dist if dist is not None else _distances(g)
-    return _solve_family(g, fam.vertex_pair_family(g, dist), "beta")
+    return all_invariants(g, ("beta",))["beta"]
 
 
-def edge_metric_dimension(g, dist=None):
+def edge_metric_dimension(g):
     """beta_E(G): minimum edge resolving set size."""
-    dist = dist if dist is not None else _distances(g)
-    family = fam.edge_pair_family(g, dist)
-    if not family.sets:
-        # single-edge graph (P_2): no edge pairs to resolve, but the
-        # known closed form beta_E(P_n) = 1 covers n = 2, so the empty
-        # set is not reported; {v_1} resolves vacuously
-        return InvariantResult("beta_E", 1, (0,))
-    return _solve_family(g, family, "beta_E")
+    return all_invariants(g, ("beta_E",))["beta_E"]
 
 
-def mixed_metric_dimension(g, dist=None):
+def mixed_metric_dimension(g):
     """beta_M(G): minimum mixed resolving set size."""
-    dist = dist if dist is not None else _distances(g)
-    return _solve_family(g, fam.mixed_pair_family(g, dist), "beta_M")
+    return all_invariants(g, ("beta_M",))["beta_M"]
 
 
-def doubly_metric_dimension(g, dist=None):
-    """psi(G): minimum doubly resolving set size.
-
-    Solved as the minimum hitting set of the psi family, so the witness
-    is the lexicographically smallest minimum doubly resolving set; it
-    is re-checked by the two-witness definition.
-    """
-    dist = dist if dist is not None else _distances(g)
-    result = _solve_family(g, fam.psi_family(g, dist), "psi")
-    if not fam.is_doubly_resolving(dist, result.witness):  # pragma: no cover
-        raise RuntimeError("psi: solver returned a non-doubly-resolving witness")
-    return result
+def doubly_metric_dimension(g):
+    """psi(G): minimum doubly resolving set size; the witness is the
+    lexicographically smallest minimum doubly resolving set."""
+    return all_invariants(g, ("psi",))["psi"]
 
 
-def edge_dim_log_bound_check(g, dist=None):
-    """Sanity invariant: beta_E(G) >= ceil(log2(max degree))."""
-    dist = dist if dist is not None else _distances(g)
-    value = edge_metric_dimension(g, dist).value
-    delta = max_degree(g)
-    return value >= ceil(log2(delta))
+def mhs_strict(g):
+    """Minimum hitting set of {W_uv, W_vu | uv edge} (mhs_<)."""
+    return all_invariants(g, ("mhs_strict",))["mhs_strict"]
 
 
-def _all_invariants(g, dist):
-    return {
-        "beta": metric_dimension(g, dist),
-        "beta_E": edge_metric_dimension(g, dist),
-        "beta_M": mixed_metric_dimension(g, dist),
-        "psi": doubly_metric_dimension(g, dist),
-        "mhs_strict": mhs_strict(g, dist),
-        "mhs_weak": mhs_weak(g, dist),
-    }
+def mhs_weak(g):
+    """Minimum hitting set of {Wbar_uv, Wbar_vu | uv edge} (mhs_<=)."""
+    return all_invariants(g, ("mhs_weak",))["mhs_weak"]
 
 
-def all_invariants(g):
-    """All six invariants with witnesses, computed from one distance
-    matrix. Returns a dict keyed by tag."""
-    return _all_invariants(g, _distances(g))
-
-
-def invariant_values(g, dist=None):
+def invariant_values(g):
     """Values of all six invariants, as a dict tag -> int."""
-    dist = dist if dist is not None else _distances(g)
-    return {tag: r.value for tag, r in _all_invariants(g, dist).items()}
+    return {tag: r.value for tag, r in all_invariants(g).items()}
 
 
 def result_record(g, graph6_string, results):
-    """JSON-ready record for one graph: values plus 1-based witnesses."""
+    """JSON-ready record for one graph: the values and 1-based witnesses
+    of the tags in ``results``."""
     record = {"graph6": graph6_string, "n": g.n, "m": g.num_edges()}
-    for tag in TAGS:
-        record[tag] = results[tag].value
+    for tag, r in results.items():
+        record[tag] = r.value
     record["witnesses"] = {
-        tag: results[tag].witness_labels() for tag in TAGS
+        tag: r.witness_labels() for tag, r in results.items()
     }
     return record

@@ -141,7 +141,7 @@ def verify_families(n_min, n_max):
     checks = []
     for n in range(n_min, n_max + 1):
         for name, g, expected in _family_expectations(n):
-            results = all_invariants(g)
+            results = all_invariants(g, tuple(expected))
             for tag, want in sorted(expected.items()):
                 got = results[tag].value
                 checks.append(CheckResult(
@@ -161,7 +161,7 @@ def verify_tprime_construction(n):
     checks.append(CheckResult(
         "tprime-leaves", n, f"l(T'_{n}) = {m + 1}",
         leaves == m + 1, f"computed {leaves}"))
-    results = all_invariants(g)
+    results = all_invariants(g, ("psi", "beta_E"))
     checks.append(CheckResult(
         "tprime-psi", n, f"psi(T'_{n}) = {m + 1}",
         results["psi"].value == m + 1, f"computed {results['psi'].value}"))

@@ -79,6 +79,33 @@ class TestCompute:
         _, out2, _ = run(capsys, "compute", "--gen", "cycle:6")
         assert out1 == out2
 
+    def test_selection_solves_only_selected(self, capsys, monkeypatch):
+        from resolvability import invariants
+
+        solves = []
+        original = invariants.min_hitting_exact
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(invariants, "min_hitting_exact", counted)
+        code, out, _ = run(capsys, "compute", "--gen", "complete:6",
+                           "--invariants", "psi", "--format", "json")
+        assert code == 0
+        assert len(solves) == 1
+        record = json.loads(out)[0]
+        assert record["psi"] == 5
+        assert set(record) == {"graph6", "n", "m", "psi", "witnesses"}
+        assert record["witnesses"] == {"psi": [1, 2, 3, 4, 5]}
+
+    def test_unknown_invariant(self, capsys):
+        code, out, err = run(capsys, "compute", "--gen", "path:3",
+                             "--invariants", "psi,bogus")
+        assert code == 1
+        assert out == ""
+        assert "unknown invariant 'bogus'" in err
+
 
 class TestFamilies:
     def test_paths(self, capsys):
@@ -127,6 +154,12 @@ class TestFamilies:
         code, _, err = run(capsys, "families", "cycle", "2..4")
         assert code == 1
 
+    def test_empty_range(self, capsys):
+        code, out, err = run(capsys, "families", "path", "6..4")
+        assert code == 1
+        assert out == ""
+        assert "empty range '6..4'" in err
+
 
 class TestExtremal:
     def test_psi_weak_sweep(self, capsys):
@@ -135,6 +168,12 @@ class TestExtremal:
         assert code == 0
         diffs = [int(r["max_diff"]) for r in csv.DictReader(io.StringIO(out))]
         assert diffs == [1, 2, 3]
+
+    def test_empty_range(self, capsys):
+        code, out, err = run(capsys, "extremal", "psi", "beta", "5..3")
+        assert code == 1
+        assert out == ""
+        assert "empty range '5..3'" in err
 
     def test_stream_required_above_7(self, capsys):
         code, _, err = run(capsys, "extremal", "psi", "beta_E", "8")

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -160,6 +161,27 @@ class TestPairFamilies:
         assert len(vertex_pair_family(g, d)) == 6
         assert len(edge_pair_family(g, d)) == 6
         assert len(mixed_pair_family(g, d)) == 28
+
+    def test_mixed_matches_all_item_pairs(self):
+        # the same multiset of sets as one resolver set per unordered
+        # pair of items (vertices, then edges), in the order vertex
+        # pairs, edge pairs, vertex-edge pairs
+        rng = random.Random(99)
+        graphs = [path(2), path(3), complete(5)] + [
+            random_connected_graph(rng, n_min=4, n_max=9) for _ in range(60)]
+        for g in graphs:
+            d = _dist(g)
+            rows = list(d) + [
+                tuple(min(d[u][w], d[v][w]) for w in range(g.n))
+                for u, v in g.edges()]
+            want = Counter(
+                sum(1 << w for w in range(g.n) if x[w] != y[w])
+                for x, y in combinations(rows, 2))
+            fam = mixed_pair_family(g, d)
+            assert Counter(fam.sets) == want
+            head = vertex_pair_family(g, d).sets + edge_pair_family(g, d).sets
+            assert fam.sets[:len(head)] == head
+            assert len(fam.labels) == len(fam.sets)
 
 
 class TestDoublyResolving:

@@ -79,7 +79,7 @@ class TestExact:
 
     def test_empty_family(self):
         sol = min_hitting_exact(10, ())
-        assert sol.size == 0 and sol.mask == 0 and sol.optimal
+        assert sol.size == 0 and sol.mask == 0
 
     def test_empty_set_infeasible(self):
         with pytest.raises(InfeasibleInstanceError):

@@ -1,6 +1,7 @@
 import random
+import weakref
 from itertools import combinations
-from math import ceil, log2
+from math import comb
 
 import pytest
 
@@ -12,7 +13,6 @@ from resolvability import (
     complete_bipartite,
     cycle,
     doubly_metric_dimension,
-    edge_dim_log_bound_check,
     edge_metric_dimension,
     family_weak,
     from_edge_list,
@@ -20,6 +20,7 @@ from resolvability import (
     is_doubly_resolving,
     is_maximal_neighbour_graph,
     leaf_count,
+    max_degree,
     metric_dimension,
     mhs_strict,
     mhs_weak,
@@ -29,9 +30,11 @@ from resolvability import (
     t_prime_tree,
     verify_hitting,
 )
+from resolvability import families, invariants
+from resolvability.canon import canonical_form
 from resolvability.extremal import enumerate_connected
 from resolvability.graph import mask_of
-from resolvability.invariants import result_record
+from resolvability.invariants import TAGS, result_record
 from resolvability.graph6 import write_graph6
 
 from conftest import random_connected_graph
@@ -154,7 +157,7 @@ class TestDoublyMetricDimension:
         # families are empty
         for g in enumerate_connected(n):
             d = all_pairs_distances(g)
-            res = doubly_metric_dimension(g, d)
+            res = doubly_metric_dimension(g)
             want = brute_force_psi(d)
             assert (res.value, res.witness) == (len(want), want)
 
@@ -179,16 +182,18 @@ class TestOrderingChain:
 
 
 class TestLogBound:
+    # beta_E(G) >= ceil(log2(max degree))
     def test_examples(self):
-        assert edge_dim_log_bound_check(complete(8))
-        assert edge_dim_log_bound_check(path(5))
-        assert edge_dim_log_bound_check(cycle(4))
+        for g in (complete(8), path(5), cycle(4)):
+            assert (edge_metric_dimension(g).value
+                    >= (max_degree(g) - 1).bit_length())
 
     def test_random(self):
         rng = random.Random(31)
         for _ in range(50):
             g = random_connected_graph(rng, n_max=9)
-            assert edge_dim_log_bound_check(g)
+            assert (edge_metric_dimension(g).value
+                    >= (max_degree(g) - 1).bit_length())
 
 
 class TestResults:
@@ -204,6 +209,117 @@ class TestResults:
         assert rec["n"] == 4 and rec["m"] == 3
         assert rec["beta"] == 1 and rec["psi"] == 2
         assert rec["witnesses"]["mhs_strict"] == [1, 4]
+
+    def test_result_record_keeps_given_tags(self):
+        g = path(4)
+        rec = result_record(g, write_graph6(g), all_invariants(g, ("psi",)))
+        assert set(rec) == {"graph6", "n", "m", "psi", "witnesses"}
+        assert rec["witnesses"] == {"psi": [1, 4]}
+
+
+SINGLE = {
+    "beta": metric_dimension,
+    "beta_E": edge_metric_dimension,
+    "beta_M": mixed_metric_dimension,
+    "psi": doubly_metric_dimension,
+    "mhs_strict": mhs_strict,
+    "mhs_weak": mhs_weak,
+}
+
+
+def _classes_up_to_5():
+    for n in range(2, 6):
+        forms = set()
+        for g in enumerate_connected(n):
+            form = canonical_form(n, g.adj)
+            if form not in forms:
+                forms.add(form)
+                yield g
+
+
+class TestPipeline:
+    @pytest.mark.parametrize("source", ["random", "classes"])
+    def test_single_invariants_match_all(self, source):
+        if source == "random":
+            rng = random.Random(99)
+            graphs = [random_connected_graph(rng, n_min=4, n_max=9)
+                      for _ in range(60)]
+        else:
+            graphs = list(_classes_up_to_5())
+            assert len(graphs) == 1 + 2 + 6 + 21
+        for g in graphs:
+            everything = all_invariants(g)
+            assert tuple(everything) == TAGS
+            for tag, single in SINGLE.items():
+                alone = all_invariants(g, (tag,))
+                assert tuple(alone) == (tag,)
+                assert single(g) == everything[tag] == alone[tag]
+            assert invariant_values(g) == {
+                tag: r.value for tag, r in everything.items()}
+
+    def test_tags_keep_their_order(self):
+        got = all_invariants(cycle(5), ("mhs_weak", "beta"))
+        assert tuple(got) == ("mhs_weak", "beta")
+
+    def test_unknown_tag(self):
+        with pytest.raises(GraphError, match="unknown invariant 'bogus'"):
+            all_invariants(path(3), ("beta", "bogus"))
+
+    def test_pair_sets_built_once(self, monkeypatch):
+        # all six invariants build the vertex and edge pair families once;
+        # beta_M's family reuses them and computes only the vertex-edge
+        # pairs, so every pair resolver set is computed exactly once
+        calls = []
+        for name in ("vertex_pair_family", "edge_pair_family",
+                     "mixed_pair_family"):
+            def counted(*args, _name=name, _f=getattr(families, name)):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(families, name, counted)
+        built = []
+        pair_family = families._pair_family
+
+        def counted_pair_family(*args):
+            result = pair_family(*args)
+            built.append(len(result))
+            return result
+
+        monkeypatch.setattr(families, "_pair_family", counted_pair_family)
+        for g in (t_prime_tree(9), complete_bipartite(3, 4),
+                  random_connected_graph(random.Random(5), 6, 9)):
+            calls.clear()
+            built.clear()
+            all_invariants(g)
+            n, m = g.n, g.num_edges()
+            assert sorted(calls) == ["edge_pair_family", "vertex_pair_family"]
+            assert sum(built) == comb(n, 2) + comb(m, 2) + n * m
+
+    def test_families_freed_after_last_use(self, monkeypatch):
+        # at each solve, only the families a tag still to solve needs are
+        # alive: beta's and beta_E's live on for beta_M, then all go
+        refs = []
+        for name in ("vertex_pair_family", "edge_pair_family",
+                     "compose_mixed_family", "psi_family", "family_strict",
+                     "family_weak"):
+            def recorded(*args, _f=getattr(families, name)):
+                result = _f(*args)
+                refs.append(weakref.ref(result))
+                return result
+            monkeypatch.setattr(families, name, recorded)
+        alive = []
+        solver = invariants.min_hitting_exact
+
+        def counted(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return solver(*args)
+
+        monkeypatch.setattr(invariants, "min_hitting_exact", counted)
+        all_invariants(cycle(6))
+        assert alive == [1, 2, 3, 1, 1, 1]
+        refs.clear()
+        alive.clear()
+        all_invariants(cycle(6), ("beta_M", "psi", "beta"))
+        assert alive == [3, 2, 1]
 
 
 # Values and lexicographically smallest witnesses on graphs too large for

@@ -86,10 +86,10 @@ def cmd_compute(args):
     rows = [
         {
             "invariant": tag,
-            "value": results[tag].value,
-            "witness": " ".join(f"v{v}" for v in results[tag].witness_labels()),
+            "value": r.value,
+            "witness": " ".join(f"v{v}" for v in r.witness_labels()),
         }
-        for tag in selected
+        for tag, r in results.items()
     ]
     _emit(rows, args.format, args.out, ["invariant", "value", "witness"])
     return 0

@@ -12,45 +12,25 @@ recomputing their sets. The psi family holds, for every vertex pair,
 the complements of the level sets of s -> d(u,s) - d(v,s); its minimum
 hitting sets are the minimum doubly resolving sets.
 
-All set-building functions are pure functions of immutable inputs.
+A family is its sets alone, in the order its builder documents. All
+set-building functions are pure functions of immutable inputs.
 """
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
 
-from .graph import GraphError, bits_list
+from .graph import GraphError
 
 
 @dataclass(frozen=True)
 class SetFamily:
-    """Ordered family of vertex subsets (bitmasks) over universe 0..n-1,
-    with a provenance label per set.
-
-    Labels are built on demand by ``make_labels`` (sweeps never read
-    them); they take no part in equality.
-    """
+    """Ordered family of vertex subsets (bitmasks) over universe 0..n-1."""
 
     n: int
     sets: tuple
-    make_labels: Callable = field(compare=False, repr=False)
 
     def __len__(self):
         return len(self.sets)
-
-    @property
-    def labels(self):
-        return tuple(self.make_labels())
-
-    def to_json_dict(self):
-        """Debug serialization: 1-based vertex lists with labels."""
-        return {
-            "universe": self.n,
-            "sets": [
-                {"label": lab, "vertices": [v + 1 for v in bits_list(m)]}
-                for lab, m in zip(self.labels, self.sets)
-            ],
-        }
 
 
 def _require_adjacent(dist, u, v):
@@ -80,35 +60,30 @@ def w_sets(dist, u, v):
     return w_uv, w_vu, full & ~w_uv, full & ~w_vu, eq
 
 
-def _w_family(g, dist, first, name):
+def _w_family(g, dist, first):
     """Sets ``w_sets(...)[first]`` and ``[first + 1]`` over all edges in
     canonical order, the (u, v) set before the (v, u) set."""
-    edges = g.edges()
     sets = []
-    for u, v in edges:
+    for u, v in g.edges():
         sets.extend(w_sets(dist, u, v)[first:first + 2])
-    return SetFamily(g.n, tuple(sets), lambda: [
-        f"{name}(v{a + 1},v{b + 1})" for u, v in edges for a, b in ((u, v), (v, u))
-    ])
+    return SetFamily(g.n, tuple(sets))
 
 
 def family_strict(g, dist):
     """Family {W_uv, W_vu} over all edges; its minimum hitting set size
     is mhs_<(G)."""
-    return _w_family(g, dist, 0, "W")
+    return _w_family(g, dist, 0)
 
 
 def family_weak(g, dist):
     """Family {Wbar_uv, Wbar_vu} over all edges; its minimum hitting set
     size is mhs_<=(G)."""
-    return _w_family(g, dist, 2, "Wbar")
+    return _w_family(g, dist, 2)
 
 
-def _pair_family(g, pairs, names):
+def _pair_family(n, pairs):
     """One resolver set {w : x[w] != y[w]} per pair (x, y) of distance
-    rows in ``pairs``; ``names()`` yields the matching pairs of item
-    names for the labels."""
-    n = g.n
+    rows in ``pairs``, as a tuple in the order of ``pairs``."""
     sets = []
     for x, y in pairs:
         m = 0
@@ -116,16 +91,7 @@ def _pair_family(g, pairs, names):
             if x[w] != y[w]:
                 m |= 1 << w
         sets.append(m)
-    return SetFamily(n, tuple(sets), lambda: [
-        f"pair({a},{b})" for a, b in names()])
-
-
-def _vertex_names(g):
-    return [f"v{v + 1}" for v in range(g.n)]
-
-
-def _edge_names(g):
-    return [f"e(v{u + 1},v{v + 1})" for u, v in g.edges()]
+    return tuple(sets)
 
 
 def _edge_distance_rows(g, dist):
@@ -137,14 +103,13 @@ def _edge_distance_rows(g, dist):
 def vertex_pair_family(g, dist):
     """One resolver set per unordered pair of distinct vertices:
     {w : d(u,w) != d(v,w)}."""
-    return _pair_family(g, combinations(dist, 2),
-                        lambda: combinations(_vertex_names(g), 2))
+    return SetFamily(g.n, _pair_family(g.n, combinations(dist, 2)))
 
 
 def edge_pair_family(g, dist):
     """One resolver set per unordered pair of distinct edges."""
-    return _pair_family(g, combinations(_edge_distance_rows(g, dist), 2),
-                        lambda: combinations(_edge_names(g), 2))
+    return SetFamily(g.n, _pair_family(
+        g.n, combinations(_edge_distance_rows(g, dist), 2)))
 
 
 def mixed_pair_family(g, dist):
@@ -158,10 +123,8 @@ def compose_mixed_family(g, dist, vertex, edge):
     """The mixed pair family from g's built vertex and edge pair
     families: their sets, then one resolver set per (vertex, edge) pair
     in vertex-major order. Only the vertex-edge sets are computed."""
-    cross = _pair_family(g, product(dist, _edge_distance_rows(g, dist)),
-                         lambda: product(_vertex_names(g), _edge_names(g)))
-    return SetFamily(g.n, vertex.sets + edge.sets + cross.sets, lambda: [
-        *vertex.labels, *edge.labels, *cross.labels])
+    cross = _pair_family(g.n, product(dist, _edge_distance_rows(g, dist)))
+    return SetFamily(g.n, vertex.sets + edge.sets + cross)
 
 
 def psi_family(g, dist):
@@ -177,21 +140,18 @@ def psi_family(g, dist):
     """
     n = g.n
     full = (1 << n) - 1
-    sets, origins = [], []
+    sets = []
     for u, v in combinations(range(n), 2):
         du, dv = dist[u], dist[v]
         classes = {}
         for s in range(n):
             key = du[s] - dv[s]
             classes[key] = classes.get(key, 0) | 1 << s
-        for key, c in classes.items():
+        for c in classes.values():
             if c.bit_count() >= 2:
                 sets.append(full & ~c)
-                origins.append((u, v, key))
     sets.extend(full & ~(1 << s) for s in range(n))
-    return SetFamily(n, tuple(sets), lambda: [
-        f"V-C(v{u + 1},v{v + 1};{key})" for u, v, key in origins
-    ] + [f"V-{{v{s + 1}}}" for s in range(n)])
+    return SetFamily(n, tuple(sets))
 
 
 def doubly_resolves(dist, x, y, u, v):

@@ -53,6 +53,18 @@ def _eq_check(name, n, label, actual, expected, exhaustive):
     )
 
 
+# (name, (a, b), n -> exact maximum of a - b over connected graphs of
+# order n >= 3)
+_IDENTITIES = (
+    ("psimhs1(i)", ("mhs_weak", "psi"), lambda n: 0),
+    ("psimhs1(ii)", ("psi", "mhs_weak"), lambda n: n - 3),
+    ("hslel1(i)", ("mhs_weak", "mhs_strict"), lambda n: 0),
+    ("hslel1(ii)", ("mhs_strict", "mhs_weak"), lambda n: n - 2),
+    ("mdiml1(i)", ("mhs_strict", "beta_M"), lambda n: 0),
+    ("mdiml1(ii)", ("beta_M", "mhs_strict"), lambda n: n - 3),
+)
+
+
 def verify_order(n, stream_path=None):
     """All sweep-based checks for one order n."""
     if stream_path is not None:
@@ -65,24 +77,9 @@ def verify_order(n, stream_path=None):
     d = {p: result.reports[p].max_diff for p in THEOREM_PAIRS}
     checks = []
     if n >= 3:
-        checks.append(_eq_check(
-            "psimhs1(i)", n, "(mhs_weak - psi)(n)",
-            d[("mhs_weak", "psi")], 0, exhaustive))
-        checks.append(_eq_check(
-            "psimhs1(ii)", n, "(psi - mhs_weak)(n)",
-            d[("psi", "mhs_weak")], n - 3, exhaustive))
-        checks.append(_eq_check(
-            "hslel1(i)", n, "(mhs_weak - mhs_strict)(n)",
-            d[("mhs_weak", "mhs_strict")], 0, exhaustive))
-        checks.append(_eq_check(
-            "hslel1(ii)", n, "(mhs_strict - mhs_weak)(n)",
-            d[("mhs_strict", "mhs_weak")], n - 2, exhaustive))
-        checks.append(_eq_check(
-            "mdiml1(i)", n, "(mhs_strict - beta_M)(n)",
-            d[("mhs_strict", "beta_M")], 0, exhaustive))
-        checks.append(_eq_check(
-            "mdiml1(ii)", n, "(beta_M - mhs_strict)(n)",
-            d[("beta_M", "mhs_strict")], n - 3, exhaustive))
+        for name, (a, b), value in _IDENTITIES:
+            checks.append(_eq_check(
+                name, n, f"({a} - {b})(n)", d[(a, b)], value(n), exhaustive))
     if n == 3:
         checks.append(_eq_check(
             "dedge3", 3, "(psi - beta_E)(3)",

@@ -2,8 +2,10 @@ import random
 
 import pytest
 
-from resolvability import from_edge_list
-from resolvability.extremal import THEOREM_PAIRS, GraphSource, sweep
+from resolvability import from_edge_list, invariant_values
+from resolvability.canon import canonical_form
+from resolvability.extremal import (
+    THEOREM_PAIRS, GraphSource, enumerate_connected, sweep)
 
 
 def random_connected_graph(rng, n_min=2, n_max=12):
@@ -37,6 +39,26 @@ def theorem_sweeps():
             cache[n] = sweep(
                 GraphSource.enumeration(n), THEOREM_PAIRS, law_checks=True
             )
+        return cache[n]
+
+    return get
+
+
+@pytest.fixture(scope="session")
+def connected_classes():
+    """Memoized connected graphs of order n by isomorphism class: a list
+    of (representative, its invariant_values, the labeled graphs of the
+    class), the representative being the first graph enumerated with
+    its canonical form."""
+    cache = {}
+
+    def get(n):
+        if n not in cache:
+            members = {}
+            for g in enumerate_connected(n):
+                members.setdefault(canonical_form(n, g.adj), []).append(g)
+            cache[n] = [(graphs[0], invariant_values(graphs[0]), graphs)
+                        for graphs in members.values()]
         return cache[n]
 
     return get

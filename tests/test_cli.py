@@ -51,6 +51,22 @@ class TestCompute:
         assert code == 0
         assert "psi" in out and "mhs_weak" in out and "beta_M" not in out
 
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_repeated_invariant_listed_once(self, capsys, fmt):
+        code, out, _ = run(capsys, "compute", "--gen", "complete:6",
+                           "--invariants", "psi,psi,beta_E",
+                           "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            record = json.loads(out)
+            assert len(record) == 1
+            assert sorted(record[0]["witnesses"]) == ["beta_E", "psi"]
+        else:
+            lines = out.splitlines()
+            assert len(lines) == 3  # header, psi, beta_E
+            assert [line.split(",")[0].split()[0] for line in lines[1:]] == [
+                "psi", "beta_E"]
+
     def test_witnesses_one_based(self, capsys):
         code, out, _ = run(capsys, "compute", "--gen", "path:4",
                            "--invariants", "mhs_strict")

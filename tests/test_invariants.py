@@ -51,6 +51,10 @@ def brute_force_psi(dist):
     raise AssertionError("V is doubly resolving for every connected graph")
 
 
+def _is_path(g):
+    return g.num_edges() == g.n - 1 and max(g.degrees()) <= 2
+
+
 class TestMhs:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_path(self, n):
@@ -107,12 +111,12 @@ class TestMetricDimensions:
         assert mixed_metric_dimension(complete_bipartite(3, 4)).value == 5
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_path_characterizations_exhaustive(self, n):
-        for g in enumerate_connected(n):
-            values = invariant_values(g)
-            is_path = g.num_edges() == n - 1 and max(g.degrees()) <= 2
-            assert (values["beta_E"] == 1) == is_path
-            assert (values["beta_M"] == 2) == is_path
+    def test_path_characterizations_exhaustive(self, n, connected_classes):
+        # one graph per isomorphism class; test_chain_exhaustive checks
+        # every labeled graph against its class
+        for rep, values, _ in connected_classes(n):
+            assert (values["beta_E"] == 1) == _is_path(rep)
+            assert (values["beta_M"] == 2) == _is_path(rep)
 
 
 class TestDoublyMetricDimension:
@@ -164,20 +168,27 @@ class TestDoublyMetricDimension:
 
 class TestOrderingChain:
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_chain_exhaustive(self, n):
-        for g in enumerate_connected(n):
-            v = invariant_values(g)
-            assert 2 <= v["mhs_weak"] <= min(v["mhs_strict"], v["psi"])
-            assert v["mhs_strict"] <= min(v["beta_M"], n)
-            if n >= 3:
-                assert v["mhs_weak"] <= n - 1
-            assert v["psi"] <= max(2, n - 1)
+    def test_chain_exhaustive(self, n, connected_classes):
+        # the one pass over every labeled graph: it also pins each graph's
+        # values, maximal-neighbour test and path test to its class
+        # representative's, which the per-class tests read
+        for rep, values, graphs in connected_classes(n):
+            for g in graphs:
+                v = invariant_values(g)
+                assert v == values
+                assert (is_maximal_neighbour_graph(g)
+                        == is_maximal_neighbour_graph(rep))
+                assert _is_path(g) == _is_path(rep)
+                assert 2 <= v["mhs_weak"] <= min(v["mhs_strict"], v["psi"])
+                assert v["mhs_strict"] <= min(v["beta_M"], n)
+                if n >= 3:
+                    assert v["mhs_weak"] <= n - 1
+                assert v["psi"] <= max(2, n - 1)
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_maximal_neighbour_biconditional(self, n):
-        for g in enumerate_connected(n):
-            v = invariant_values(g)
-            mn = is_maximal_neighbour_graph(g)
+    def test_maximal_neighbour_biconditional(self, n, connected_classes):
+        for rep, v, _ in connected_classes(n):
+            mn = is_maximal_neighbour_graph(rep)
             assert (v["mhs_strict"] == n) == mn == (v["beta_M"] == n)
 
 

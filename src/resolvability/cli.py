@@ -160,7 +160,7 @@ def cmd_verify(args):
     streams = {}
     for item in args.stream or ():
         n_text, sep, path = item.partition(":")
-        if not sep:
+        if not sep or not n_text.isdecimal():
             raise GraphError(f"bad --stream {item!r}, expected N:PATH")
         streams[int(n_text)] = path
     checks = verify_theorems(lo, hi, streams)

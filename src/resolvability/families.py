@@ -12,6 +12,12 @@ recomputing their sets. The psi family holds, for every vertex pair,
 the complements of the level sets of s -> d(u,s) - d(v,s); its minimum
 hitting sets are the minimum doubly resolving sets.
 
+The pair builders pack each distance row once into an int holding
+d(., w) in byte w (a graph within the solver's 62-vertex universe has
+distances below 62). The resolver set of two packed rows is then read
+off the bytes of their XOR, non-zero exactly where the rows differ, by
+one byte translation and one base-2 parse, with no loop over vertices.
+
 A family is its sets alone, in the order its builder documents. All
 set-building functions are pure functions of immutable inputs.
 """
@@ -81,29 +87,38 @@ def family_weak(g, dist):
     return _w_family(g, dist, 2)
 
 
+# a bytes.translate table mapping byte 0 to "0" and every other byte to
+# "1": it turns the bytes of the XOR of two packed rows into the binary
+# text of their resolver set
+NONZERO = b"0" + b"1" * 255
+
+
+def _packed_rows(rows):
+    """Each distance row as one int holding d(., w) in byte w. Rows of a
+    graph with n <= 256 fit, its distances being at most n - 1."""
+    return [int.from_bytes(bytes(row), "little") for row in rows]
+
+
 def _pair_family(n, pairs):
-    """One resolver set {w : x[w] != y[w]} per pair (x, y) of distance
-    rows in ``pairs``, as a tuple in the order of ``pairs``."""
-    sets = []
-    for x, y in pairs:
-        m = 0
-        for w in range(n):
-            if x[w] != y[w]:
-                m |= 1 << w
-        sets.append(m)
-    return tuple(sets)
+    """One resolver set {w : x[w] != y[w]} per pair (x, y) of packed
+    distance rows in ``pairs``, as a tuple in the order of ``pairs``.
+    Byte w of x ^ y is non-zero iff x and y differ at w, and big-endian
+    bytes put vertex n - 1 first, as base 2 reads it."""
+    return tuple([int((x ^ y).to_bytes(n, "big").translate(NONZERO), 2)
+                  for x, y in pairs])
 
 
 def _edge_distance_rows(g, dist):
-    """Distance vector d(e, .) for each edge in canonical order, using
-    d(e, w) = min(d(u, w), d(v, w))."""
-    return [tuple(map(min, dist[u], dist[v])) for u, v in g.edges()]
+    """Packed distance rows d(e, .) of the edges in canonical order,
+    using d(e, w) = min(d(u, w), d(v, w))."""
+    return _packed_rows(map(min, dist[u], dist[v]) for u, v in g.edges())
 
 
 def vertex_pair_family(g, dist):
     """One resolver set per unordered pair of distinct vertices:
     {w : d(u,w) != d(v,w)}."""
-    return SetFamily(g.n, _pair_family(g.n, combinations(dist, 2)))
+    return SetFamily(g.n, _pair_family(
+        g.n, combinations(_packed_rows(dist), 2)))
 
 
 def edge_pair_family(g, dist):
@@ -123,7 +138,8 @@ def compose_mixed_family(g, dist, vertex, edge):
     """The mixed pair family from g's built vertex and edge pair
     families: their sets, then one resolver set per (vertex, edge) pair
     in vertex-major order. Only the vertex-edge sets are computed."""
-    cross = _pair_family(g.n, product(dist, _edge_distance_rows(g, dist)))
+    cross = _pair_family(g.n, product(
+        _packed_rows(dist), _edge_distance_rows(g, dist)))
     return SetFamily(g.n, vertex.sets + edge.sets + cross)
 
 

@@ -1,9 +1,13 @@
 """Exact minimum hitting set over small universes (n <= 62).
 
-Sets are ``int`` bitmasks over universe 0..n-1. The exact solver runs
-reduction rules (forced singletons, dominated-set removal), then stores
-the reduced family transposed: one bitmask per vertex over set indices,
-so "the sets still unhit after picking v" is one AND. A depth-first
+Sets are ``int`` bitmasks over universe 0..n-1. The family is used
+transposed: one bitmask per vertex over set indices, so "the sets still
+unhit after picking v" is one AND and "the supersets of k" is the AND
+over k's vertices. The transposition runs in C: every set fills a
+fixed-width byte lane of one int, and the vertices are the columns of
+that int's binary text. The exact solver runs reduction rules (forced
+singletons, then dominated-set removal in one pass over the transposed
+family), then transposes the reduced family for the search. A depth-first
 search branches on vertices in increasing index order under a budget
 that grows 1, 2, ...; it drops a node when an unhit set has only
 vertices it already skipped, or when a disjoint packing of unhit sets,
@@ -14,7 +18,7 @@ sorted vertex sequence), and witnesses are deterministic.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .graph import bits_list, iter_bits
 
@@ -42,7 +46,7 @@ def verify_hitting(sets, mask):
 def _check_instance(n, sets):
     if n > MAX_UNIVERSE:
         raise ValueError(f"universe size {n} exceeds {MAX_UNIVERSE}")
-    if any(s == 0 for s in sets):
+    if 0 in sets:
         raise InfeasibleInstanceError("family contains an empty set")
 
 
@@ -63,13 +67,44 @@ def greedy_hitting(n, sets):
     return chosen
 
 
-def _reduce(sets):
+def _by_size(sets):
+    """The distinct sets in (bit_count, value) order. Two stable sorts
+    on C-level keys give that order without building key tuples."""
+    order = sorted(set(sets))
+    order.sort(key=int.bit_count)
+    return order
+
+
+def _columns(n, sets):
+    """The non-empty list ``sets`` transposed: ``cover[v]`` is the
+    bitmask of the indices of the sets containing v.
+
+    Each set fills a byte lane of ``lane`` bits in one int, the first
+    set in the lowest lane. Written in binary, that int is a text whose
+    column v, every ``lane``-th character, read in base 2 is cover[v].
+    """
+    width = (n + 7) // 8
+    lane = 8 * width
+    packed = int.from_bytes(b"".join(map(
+        int.to_bytes, reversed(sets), repeat(width), repeat("big"))), "big")
+    text = format(packed, f"0{len(sets) * lane}b")
+    return [int(text[lane - 1 - v::lane], 2) for v in range(n)]
+
+
+def _reduce(n, sets):
     """Apply forced-singleton and dominated-set rules.
 
     Returns (forced_mask, remaining_sets). The reduced instance has
     exactly the same hitting sets as the original: singletons force
     their element into every hitting set, and a superset of a kept set
     is hit whenever the subset is.
+
+    Dominated sets go in one pass over the transposed family in
+    ``_by_size`` order, where every superset of a set comes after it.
+    The first live set is kept; the AND of ``cover[v]`` over its
+    vertices holds it and all its supersets, which stop being live. So a
+    set is kept iff no kept set before it is a subset of it, and the
+    kept sets come in ``_by_size`` order.
     """
     forced = 0
     work = set(sets)
@@ -80,27 +115,33 @@ def _reduce(sets):
         for s in singles:
             forced |= s
         work = {s for s in work if not s & forced}
-    # dominated-set removal: drop any set containing another kept set
+    if not work:
+        return forced, []
+    order = _by_size(work)
+    cover = _columns(n, order)
+    live = (1 << len(order)) - 1
     kept = []
-    for s in sorted(work, key=lambda s: (s.bit_count(), s)):
-        if not any(k & ~s == 0 for k in kept):
-            kept.append(s)
+    while live:
+        s = order[(live & -live).bit_length() - 1]
+        kept.append(s)
+        supersets = live
+        for v in iter_bits(s):
+            supersets &= cover[v]
+        live ^= supersets
     return forced, kept
 
 
 def _transpose(n, sets):
-    """Index the family by vertex: ``cover[v]`` is the bitmask of the
-    indices of the sets containing v, and ``below[t]`` that of the sets
-    whose vertices all lie below t (t = 0..n)."""
-    cover = [0] * n
-    below = [0] * (n + 1)
-    for i, s in enumerate(sets):
-        bit = 1 << i
-        for v in iter_bits(s):
-            cover[v] |= bit
-        below[s.bit_length()] |= bit
-    for t in range(1, n + 1):
-        below[t] |= below[t - 1]
+    """Index the non-empty family by vertex: ``cover[v]`` is the bitmask
+    of the indices of the sets containing v, and ``below[t]`` that of
+    the sets whose vertices all lie below t (t = 0..n)."""
+    cover = _columns(n, sets)
+    everything = (1 << len(sets)) - 1
+    below = [everything] * (n + 1)
+    reaching = 0  # the sets with a vertex >= t
+    for t in range(n - 1, -1, -1):
+        reaching |= cover[t]
+        below[t] = everything ^ reaching
     return cover, below
 
 
@@ -126,9 +167,9 @@ def min_hitting_exact(n, sets, use_reductions=True):
     """
     _check_instance(n, sets)
     if use_reductions:
-        forced, work = _reduce(sets)
+        forced, work = _reduce(n, sets)
     else:
-        forced, work = 0, sorted(set(sets), key=lambda s: (s.bit_count(), s))
+        forced, work = 0, _by_size(sets)
     if not work:
         return HittingSolution(forced, forced.bit_count())
     cover, below = _transpose(n, work)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import families as fam
 from .graph import GraphError, all_pairs_distances, bits_list
-from .hitting import min_hitting_exact, verify_hitting
+from .hitting import MAX_UNIVERSE, min_hitting_exact, verify_hitting
 
 TAGS = ("beta", "beta_E", "beta_M", "psi", "mhs_strict", "mhs_weak")
 
@@ -80,6 +80,10 @@ def all_invariants(g, tags=TAGS):
     check_tags(tags)
     if g.n < 2:
         raise GraphError("invariants are defined for graphs with n >= 2")
+    # checked before any family is built: the pair builders pack each
+    # distance in a byte, which larger graphs can overflow
+    if g.n > MAX_UNIVERSE:
+        raise ValueError(f"universe size {g.n} exceeds {MAX_UNIVERSE}")
     dist = all_pairs_distances(g)
     built = {}  # tag -> family, kept while a tag still to solve needs it
 

@@ -150,9 +150,8 @@ def test_criterion_4_maximal_neighbour_biconditional(theorem_sweeps):
             f"{'; ' + str(failures[:3]) if failures else ''}")
 
 
-def _structural_checks(g, failures):
+def _w_identity_checks(g, dist, failures):
     n = g.n
-    dist = all_pairs_distances(g)
     full = (1 << n) - 1
     for u, v in g.edges():
         w_uv, w_vu, wb_uv, wb_vu, eq = w_sets(dist, u, v)
@@ -160,8 +159,10 @@ def _structural_checks(g, failures):
                 or eq != wb_uv & ~w_vu or eq != wb_vu & ~w_uv):
             failures.append(f"W identities on {write_graph6(g)}")
             return
-    results = all_invariants(g)
-    v = {tag: r.value for tag, r in results.items()}
+
+
+def _value_checks(g, v, failures):
+    n = g.n
     if not 2 <= v["mhs_weak"] <= v["mhs_strict"] <= n:
         failures.append(f"Lemma 1 chain on {write_graph6(g)}")
     if n >= 3 and v["mhs_weak"] > n - 1:
@@ -169,22 +170,36 @@ def _structural_checks(g, failures):
     delta = max(a.bit_count() for a in g.adj)
     if v["beta_E"] < (delta - 1).bit_length():
         failures.append(f"log bound on {write_graph6(g)}")
-    psi_mask = mask_of(results["psi"].witness)
-    if not verify_hitting(family_weak(g, dist).sets, psi_mask):
+
+
+def _psi_witness_check(g, dist, witness, failures):
+    if not verify_hitting(family_weak(g, dist).sets, mask_of(witness)):
         failures.append(f"doub condition on {write_graph6(g)}")
 
 
-def test_criterion_5_structural_invariants():
+def test_criterion_5_structural_invariants(connected_classes):
     failures = []
+    # the values are class invariants, so they are checked once per
+    # class; the W-set identities and the psi witness depend on the
+    # labeling, so they are checked on every labeled graph
     for n in range(2, 7):
-        for g in enumerate_connected(n):
-            _structural_checks(g, failures)
-            if failures:
-                break
+        for rep, values, graphs in connected_classes(n):
+            _value_checks(rep, values, failures)
+            for g in graphs:
+                dist = all_pairs_distances(g)
+                _w_identity_checks(g, dist, failures)
+                psi = all_invariants(g, ("psi",))["psi"]
+                _psi_witness_check(g, dist, psi.witness, failures)
+        if failures:
+            break
     rng = random.Random(20260823)
     for _ in range(1000):
         g = _note(random_connected_graph(rng, n_max=12))
-        _structural_checks(g, failures)
+        dist = all_pairs_distances(g)
+        _w_identity_checks(g, dist, failures)
+        results = all_invariants(g)
+        _value_checks(g, {t: r.value for t, r in results.items()}, failures)
+        _psi_witness_check(g, dist, results["psi"].witness, failures)
         if len(failures) > 3:
             break
     _report(5, not failures,

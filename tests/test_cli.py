@@ -262,6 +262,13 @@ class TestVerify:
                            f"4:{p}")
         assert code == 0
 
+    @pytest.mark.parametrize("item", ["f.g6", "x:f.g6", ":f.g6"])
+    def test_bad_stream_argument(self, capsys, item):
+        code, out, err = run(capsys, "verify", "3..4", "--stream", item)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: bad --stream {item!r}, expected N:PATH\n"
+
     def test_wrong_order_stream_fails_fast(self, capsys, tmp_path):
         from resolvability import path, write_graph6
         p = tmp_path / "p7.g6"

@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -23,7 +23,7 @@ from resolvability import (
     w_sets,
 )
 from resolvability.extremal import enumerate_connected
-from resolvability.families import psi_family
+from resolvability.families import compose_mixed_family, psi_family
 from resolvability.graph import bits_list, mask_of
 
 from conftest import random_connected_graph
@@ -176,6 +176,44 @@ class TestPairFamilies:
             assert Counter(fam.sets) == want
             head = vertex_pair_family(g, d).sets + edge_pair_family(g, d).sets
             assert fam.sets[:len(head)] == head
+
+
+def _compared_per_vertex(n, pairs):
+    """Resolver sets of row pairs, comparing the rows vertex by vertex:
+    the reference for the packed-row kernel."""
+    return tuple(sum(1 << w for w in range(n) if x[w] != y[w])
+                 for x, y in pairs)
+
+
+def _dense(seed, n):
+    """A random spanning tree plus each other pair with probability 1/2."""
+    rng = random.Random(seed)
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    edges += [(u, v) for u, v in combinations(range(n), 2)
+              if rng.random() < 0.5]
+    return from_edge_list(n, edges)
+
+
+class TestPackedRows:
+    @pytest.mark.parametrize("make", [
+        lambda: path(62),  # distances up to 61, 8-byte rows
+        lambda: complete(12),
+        lambda: _dense(1, 17),
+        lambda: _dense(2, 24),
+        lambda: _dense(3, 40),
+    ], ids=["path62", "complete12", "dense17", "dense24", "dense40"])
+    def test_pair_builders_match_per_vertex(self, make):
+        g = make()
+        d = _dist(g)
+        edge_rows = [tuple(map(min, d[u], d[v])) for u, v in g.edges()]
+        vertex = vertex_pair_family(g, d)
+        edge = edge_pair_family(g, d)
+        assert vertex.sets == _compared_per_vertex(g.n, combinations(d, 2))
+        assert edge.sets == _compared_per_vertex(
+            g.n, combinations(edge_rows, 2))
+        assert compose_mixed_family(g, d, vertex, edge).sets == (
+            vertex.sets + edge.sets
+            + _compared_per_vertex(g.n, product(d, edge_rows)))
 
 
 class TestDoublyResolving:

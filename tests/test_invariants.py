@@ -276,6 +276,12 @@ class TestPipeline:
         with pytest.raises(GraphError, match="unknown invariant 'bogus'"):
             all_invariants(path(3), ("beta", "bogus"))
 
+    @pytest.mark.parametrize("n", [63, 300])
+    def test_universe_cap_before_any_build(self, n):
+        # P_300 has distances above 255, which no packed row can hold
+        with pytest.raises(ValueError, match=f"universe size {n} exceeds 62"):
+            all_invariants(path(n), ("beta", "beta_E"))
+
     def test_pair_sets_built_once(self, monkeypatch):
         # all six invariants build the vertex and edge pair families once;
         # beta_M's family reuses them and computes only the vertex-edge

@@ -2,9 +2,10 @@
 
 Subcommands: ``compute`` (invariants of one graph), ``families``
 (computed-vs-formula tables), ``extremal`` (extremal-difference sweeps)
-and ``verify`` (theorem verification). All vertex labels in input and
-output are 1-based. Exit codes: 0 success / all checks pass, 1 input
-error, 2 verification failure.
+and ``verify`` (theorem verification); the two sweeps share the
+repeatable ``--stream N:PATH`` (see ``extremal.sources``). All vertex
+labels in input and output are 1-based. Exit codes: 0 success / all
+checks pass, 1 input error, 2 verification failure.
 """
 
 import argparse
@@ -14,7 +15,7 @@ import json
 import sys
 
 from . import graph as gr
-from .extremal import MAX_BUILTIN_N, GraphSource, extremal_difference
+from .extremal import extremal_difference, sources
 from .graph import GraphError
 from .graph6 import parse_graph6, write_graph6
 from .invariants import TAGS, all_invariants, result_record
@@ -61,9 +62,23 @@ def _parse_range(text):
     return lo, hi
 
 
+def _parse_streams(items):
+    """The repeated ``--stream N:PATH`` items as an order -> path dict."""
+    streams = {}
+    for item in items or ():
+        n_text, sep, path = item.partition(":")
+        if not sep or not n_text.isdecimal():
+            raise GraphError(f"bad --stream {item!r}, expected N:PATH")
+        n = int(n_text)
+        if n in streams:
+            raise GraphError(f"--stream names order {n} twice")
+        streams[n] = path
+    return streams
+
+
 def _load_graph(args):
-    sources = [s for s in (args.gen, args.graph6, args.edges) if s is not None]
-    if len(sources) != 1:
+    given = [s for s in (args.gen, args.graph6, args.edges) if s is not None]
+    if len(given) != 1:
         raise GraphError("exactly one of --gen, --graph6, --edges is required")
     if args.gen:
         return gr.generate(args.gen)
@@ -124,25 +139,10 @@ def cmd_families(args):
     return 0 if ok else 2
 
 
-def _source_for(n, stream):
-    if stream and n > MAX_BUILTIN_N:
-        return GraphSource.graph6_file(stream, n=n)
-    return GraphSource.enumeration(n)
-
-
 def cmd_extremal(args):
     lo, hi = _parse_range(args.range)
-    first_streamed = max(lo, MAX_BUILTIN_N + 1)
-    if args.stream and hi > first_streamed:
-        raise GraphError(
-            f"--stream serves one order, but {args.range} holds orders "
-            f"{first_streamed}..{hi} above {MAX_BUILTIN_N}; "
-            "sweep one order per stream"
-        )
-    # every order's source is checked before the first sweep
-    sources = [_source_for(n, args.stream) for n in range(lo, hi + 1)]
     rows = []
-    for source in sources:
+    for source in sources(lo, hi, _parse_streams(args.stream)):
         report = extremal_difference(args.xi1, args.xi2, source)
         rows.append({
             "xi1": report.xi1, "xi2": report.xi2, "n": report.n,
@@ -157,13 +157,7 @@ def cmd_extremal(args):
 
 def cmd_verify(args):
     lo, hi = _parse_range(args.range)
-    streams = {}
-    for item in args.stream or ():
-        n_text, sep, path = item.partition(":")
-        if not sep or not n_text.isdecimal():
-            raise GraphError(f"bad --stream {item!r}, expected N:PATH")
-        streams[int(n_text)] = path
-    checks = verify_theorems(lo, hi, streams)
+    checks = verify_theorems(lo, hi, _parse_streams(args.stream))
     rows = [
         {
             "check": c.name, "n": c.n, "statement": c.statement,
@@ -213,15 +207,16 @@ def build_parser():
     p.add_argument("xi1", choices=TAGS)
     p.add_argument("xi2", choices=TAGS)
     p.add_argument("range", help="order range, e.g. 4..7")
-    p.add_argument("--stream", help="graph6 stream file for n > 7")
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("verify", help="run the theorem verification suite")
     p.add_argument("range", help="order range, e.g. 3..6")
-    p.add_argument("--stream", action="append", metavar="N:PATH",
-                   help="graph6 stream for order N (repeatable)")
     p.set_defaults(func=cmd_verify)
 
+    for name in ("extremal", "verify"):
+        sub.choices[name].add_argument(
+            "--stream", action="append", metavar="N:PATH",
+            help="graph6 stream for order N (repeatable)")
     for sp in sub.choices.values():
         sp.add_argument("--format", choices=("table", "json", "csv"),
                         default="table")

@@ -4,9 +4,9 @@ The builtin enumerator walks every labeled connected simple graph of
 order n <= 7 in edge-mask order, with no isomorphism rejection. It runs
 in blocks: for each neighbourhood of the last vertex, over the graphs on
 the other vertices, keeping those whose every component the
-neighbourhood meets. Orders 8 and 9 are reachable through external
-graph6 streams, one graph per line; exhaustiveness of such a stream is
-the caller's claim, not ours.
+neighbourhood meets. ``sources`` serves each order of a sweep from a
+named graph6 stream (one graph per line; required above 7) or else the
+enumerator; a stream's exhaustiveness is the caller's claim, not ours.
 
 ``sweep`` is one loop over ``GraphSource.graphs()`` for either kind of
 source. Because all six invariants are functions of the unlabeled
@@ -93,7 +93,8 @@ class GraphSource:
             return
         order = self.n
         empty = True
-        with open(self.path, "r", encoding="ascii") as fh:
+        # non-ASCII bytes decode to surrogates, which parse_graph6 rejects
+        with open(self.path, encoding="ascii", errors="surrogateescape") as fh:
             for line_no, line in enumerate(fh, 1):
                 if not line.strip():
                     continue
@@ -116,6 +117,19 @@ class GraphSource:
                 yield g
         if empty:
             raise GraphError(f"{self.path}: stream holds no graphs")
+
+
+def sources(lo, hi, streams=None):
+    """One GraphSource per order lo..hi, in order: the graph6 file that
+    ``streams`` (order -> path) names for an order, else the builtin
+    enumeration. Raises GraphError before any graph is read if a
+    stream's order lies outside lo..hi or an order has no source."""
+    streams = streams or {}
+    outside = sorted(n for n in streams if not lo <= n <= hi)
+    if outside:
+        raise GraphError(f"stream for order {outside[0]} outside {lo}..{hi}")
+    return [GraphSource.graph6_file(streams[n], n=n) if n in streams
+            else GraphSource.enumeration(n) for n in range(lo, hi + 1)]
 
 
 def enumerate_connected(n):

@@ -23,9 +23,9 @@ def parse_graph6(text):
         s = s[len(_HEADER):]
     if not s:
         raise Graph6Error("empty graph6 string")
-    data = s.encode("ascii", errors="replace")
-    if any(b < 63 or b > 126 for b in data):
+    if not all("?" <= c <= "~" for c in s):
         raise Graph6Error(f"graph6 string {s!r} has bytes outside 63..126")
+    data = s.encode("ascii")
     if data[0] == 126:
         raise Graph6Error("long-form graph6 (n >= 63) is not supported")
     n = data[0] - 63

@@ -3,16 +3,16 @@ and closed-form family values, checked by exhaustive search.
 
 Each check produces one CheckResult line. Failed checks are report
 entries, never exceptions; bad input (such as a stream of the wrong
-order) raises GraphError. For orders backed by a user-supplied graph6
-stream (n >= 8) the exact-equality and range claims degrade to their
-upper bounds, since the artifact cannot vouch that the stream is
-exhaustive.
+order) raises GraphError. ``extremal.sources`` picks each order's
+source. For an order backed by a user-supplied graph6 stream the
+exact-equality and range claims degrade to their upper bounds, since
+the artifact cannot vouch that the stream is exhaustive.
 """
 
 from dataclasses import dataclass
 
 from . import graph as gr
-from .extremal import THEOREM_PAIRS, GraphSource, sweep
+from .extremal import THEOREM_PAIRS, sources, sweep
 from .families import edge_pair_family
 from .hitting import verify_hitting
 from .invariants import all_invariants
@@ -65,14 +65,10 @@ _IDENTITIES = (
 )
 
 
-def verify_order(n, stream_path=None):
-    """All sweep-based checks for one order n."""
-    if stream_path is not None:
-        source = GraphSource.graph6_file(stream_path, n=n)
-        exhaustive = False
-    else:
-        source = GraphSource.enumeration(n)
-        exhaustive = True
+def verify_order(source):
+    """All sweep-based checks for one source (exhaustive if builtin)."""
+    n = source.n
+    exhaustive = source.kind == "enumeration"
     result = sweep(source, pairs=THEOREM_PAIRS, law_checks=True)
     d = {p: result.reports[p].max_diff for p in THEOREM_PAIRS}
     checks = []
@@ -209,19 +205,14 @@ def family_formula(name, params):
 def verify_theorems(n_min, n_max, stream_paths=None):
     """Full verification report over orders n_min..n_max.
 
-    ``stream_paths`` maps orders above the builtin limit to graph6
-    stream files. Returns a list of CheckResult.
+    ``stream_paths`` maps orders to graph6 stream files, as in
+    ``extremal.sources``. Returns a list of CheckResult.
     """
     if not 2 <= n_min <= n_max:
         raise gr.GraphError(f"invalid order range {n_min}..{n_max}")
-    stream_paths = stream_paths or {}
-    orders = range(max(3, n_min), n_max + 1)
-    for n in orders:  # an order with no source fails before any sweep
-        if n not in stream_paths:
-            GraphSource.enumeration(n)
     checks = []
-    for n in orders:
-        checks.extend(verify_order(n, stream_paths.get(n)))
+    for source in sources(max(3, n_min), n_max, stream_paths):
+        checks.extend(verify_order(source))
     checks.extend(verify_families(n_min, n_max))
     for n in (8, 9):
         checks.extend(verify_tprime_construction(n))

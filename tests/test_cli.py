@@ -207,23 +207,43 @@ class TestExtremal:
         assert code == 1
         assert "stream" in err
 
-    def test_one_stream_for_two_orders_fails_before_any_sweep(
-        self, capsys, monkeypatch, tmp_path
-    ):
-        from resolvability import cli, path, write_graph6
-
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("swept an order with another order's stream")
-
-        monkeypatch.setattr(cli, "extremal_difference", no_sweep)
+    def test_bare_path_stream_fails(self, capsys, tmp_path):
+        from resolvability import path, write_graph6
         p = tmp_path / "p8.g6"
         p.write_text(write_graph6(path(8)) + "\n")
-        for span in ("8..9", "6..9"):
-            code, _, err = run(capsys, "extremal", "psi", "beta_E", span,
-                               "--stream", str(p))
-            assert code == 1
-            assert "--stream serves one order" in err
-            assert "8..9" in err
+        code, out, err = run(capsys, "extremal", "psi", "beta_E", "8",
+                             "--stream", str(p))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: bad --stream {str(p)!r}, expected N:PATH\n"
+
+    def test_out_of_range_stream_fails_before_any_sweep(
+        self, capsys, monkeypatch
+    ):
+        from resolvability import cli
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept before checking every stream")
+
+        monkeypatch.setattr(cli, "extremal_difference", no_sweep)
+        code, out, err = run(capsys, "extremal", "psi", "beta", "3..4",
+                             "--stream", "9:/nonexistent.g6")
+        assert code == 1
+        assert out == ""
+        assert "stream for order 9 outside 3..4" in err
+
+    def test_one_stream_per_order(self, capsys, tmp_path):
+        from resolvability import cycle, path, write_graph6
+        p8, p9 = tmp_path / "n8.g6", tmp_path / "n9.g6"
+        p8.write_text(f"{write_graph6(path(8))}\n{write_graph6(cycle(8))}\n")
+        p9.write_text(f"{write_graph6(path(9))}\n")
+        code, out, _ = run(capsys, "extremal", "psi", "beta_E", "8..9",
+                           "--stream", f"8:{p8}", "--stream", f"9:{p9}",
+                           "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["n"], r["graphs_scanned"]) for r in rows] == [
+            ("8", "2"), ("9", "1")]
 
     def test_json_csv_same_values(self, capsys):
         code, out_csv, _ = run(capsys, "extremal", "mhs_strict", "mhs_weak",
@@ -268,6 +288,17 @@ class TestVerify:
         assert code == 1
         assert out == ""
         assert err == f"error: bad --stream {item!r}, expected N:PATH\n"
+
+    def test_repeated_stream_order_fails(self, capsys, tmp_path):
+        from resolvability import cycle, path, write_graph6
+        a, b = tmp_path / "a.g6", tmp_path / "b.g6"
+        a.write_text(f"{write_graph6(path(8))}\n")
+        b.write_text(f"{write_graph6(cycle(8))}\n")
+        code, out, err = run(capsys, "verify", "8..8", "--stream", f"8:{a}",
+                             "--stream", f"8:{b}")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --stream names order 8 twice\n"
 
     def test_wrong_order_stream_fails_fast(self, capsys, tmp_path):
         from resolvability import path, write_graph6

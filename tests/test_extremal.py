@@ -15,6 +15,7 @@ from resolvability.extremal import (
     THEOREM_PAIRS,
     GraphSource,
     _degree_sorted_key,
+    sources,
     sweep,
 )
 from resolvability.graph import Graph, from_edge_list
@@ -193,13 +194,35 @@ class TestStreamSource:
     @pytest.mark.parametrize("text,message", [
         ("A_\n\nA!\n", "line 3: graph6 string"),
         ("A_\nA?\n", "line 2: graph is disconnected"),
+        ("A_\nA\u00e9\n", "line 2: graph6 string"),
     ])
     def test_bad_line_named(self, tmp_path, text, message):
         p = tmp_path / "bad.g6"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         with pytest.raises(GraphError, match=f"bad.g6, {message}"):
             extremal_difference("psi", "mhs_weak",
                                 GraphSource.graph6_file(str(p)))
+
+
+class TestSources:
+    def test_orders_and_kinds(self):
+        got = sources(3, 8, {4: "n4.g6", 8: "n8.g6"})
+        assert [(s.n, s.kind, s.path) for s in got] == [
+            (3, "enumeration", None), (4, "graph6", "n4.g6"),
+            (5, "enumeration", None), (6, "enumeration", None),
+            (7, "enumeration", None), (8, "graph6", "n8.g6")]
+        assert sources(3, 5) == sources(3, 5, {}) == [
+            GraphSource.enumeration(n) for n in (3, 4, 5)]
+
+    @pytest.mark.parametrize("order", [2, 9])
+    def test_stream_outside_range(self, order):
+        with pytest.raises(GraphError,
+                           match=f"stream for order {order} outside 3..8"):
+            sources(3, 8, {order: "/nonexistent.g6", 8: "n8.g6"})
+
+    def test_order_without_source(self):
+        with pytest.raises(GraphError, match="graph6 stream for n = 8"):
+            sources(6, 9, {9: "n9.g6"})
 
 
 class TestSweepLaws:

@@ -57,6 +57,13 @@ def test_byte_range_rejected():
         parse_graph6("C!")
 
 
+@pytest.mark.parametrize("text", ["E~~\u00e9", "B\u00e9", "A\udcc3"])
+def test_non_ascii_rejected(text):
+    # each would decode as another graph if read as "?"
+    with pytest.raises(Graph6Error, match="bytes outside 63..126"):
+        parse_graph6(text)
+
+
 def test_n_above_62_rejected():
     g = Graph(63, [0] * 63)
     with pytest.raises(Graph6Error):

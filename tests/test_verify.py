@@ -1,6 +1,6 @@
 import pytest
 
-from resolvability import verify_theorems
+from resolvability import GraphSource, verify_theorems
 from resolvability.verify import (
     family_formula,
     verify_families,
@@ -17,7 +17,7 @@ def test_verify_small_orders_all_pass():
 
 
 def test_verify_order_3_statements():
-    checks = {c.name: c for c in verify_order(3)}
+    checks = {c.name: c for c in verify_order(GraphSource.enumeration(3))}
     assert checks["dedge3"].passed
     assert checks["dedge3'"].passed
     assert checks["psimhs1(ii)"].passed
@@ -25,7 +25,7 @@ def test_verify_order_3_statements():
 
 
 def test_verify_order_4_dedge_bounds():
-    checks = {c.name: c for c in verify_order(4)}
+    checks = {c.name: c for c in verify_order(GraphSource.enumeration(4))}
     assert checks["dedge"].passed
     assert checks["dedge"].statement == "1 <= (psi - beta_E)(n) <= 1"
 
@@ -58,9 +58,25 @@ def test_stream_backed_order(tmp_path):
     with open(p, "w") as fh:
         for g in enumerate_connected(4):
             fh.write(write_graph6(g) + "\n")
-    checks = verify_order(4, str(p))
+    checks = verify_order(GraphSource.graph6_file(str(p), n=4))
     assert all(c.passed for c in checks)
     assert any("stream" in c.statement for c in checks)
+
+
+def test_stream_in_builtin_range_degrades_that_order(tmp_path):
+    from resolvability import enumerate_connected, write_graph6
+    p = tmp_path / "n4.g6"
+    with open(p, "w") as fh:
+        for g in enumerate_connected(4):
+            fh.write(write_graph6(g) + "\n")
+    checks = verify_theorems(3, 5, {4: str(p)})
+    assert all(c.passed for c in checks)
+    statements = {c.n: c.statement for c in checks if c.name == "psimhs1(i)"}
+    assert statements == {
+        3: "(mhs_weak - psi)(n) = 0",
+        4: "(mhs_weak - psi)(n) <= 0 (stream, not provably exhaustive)",
+        5: "(mhs_weak - psi)(n) = 0",
+    }
 
 
 def test_stream_dedge_checks_upper_bound_only(tmp_path):
@@ -69,7 +85,8 @@ def test_stream_dedge_checks_upper_bound_only(tmp_path):
     from resolvability import cycle, path, write_graph6
     p = tmp_path / "n8.g6"
     p.write_text(f"{write_graph6(path(8))}\n{write_graph6(cycle(8))}\n")
-    checks = {c.name: c for c in verify_order(8, str(p))}
+    checks = {c.name: c
+              for c in verify_order(GraphSource.graph6_file(str(p), n=8))}
     dedge = checks["dedge"]
     assert dedge.passed
     assert dedge.statement == (
@@ -94,6 +111,17 @@ def test_missing_stream_fails_before_any_sweep(monkeypatch):
         verify_theorems(3, 8)
 
 
+def test_out_of_range_stream_fails_before_any_sweep(monkeypatch):
+    from resolvability import GraphError, verify
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("swept before checking every stream")
+
+    monkeypatch.setattr(verify, "sweep", no_sweep)
+    with pytest.raises(GraphError, match="stream for order 9 outside 3..4"):
+        verify_theorems(3, 4, {9: "/nonexistent.g6"})
+
+
 def test_check_line_format():
-    line = verify_order(3)[0].line()
+    line = verify_order(GraphSource.enumeration(3))[0].line()
     assert line.startswith("[PASS]") or line.startswith("[FAIL]")

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+from functools import cache
 
 from . import graph as gr
 from .extremal import extremal_difference, sources
@@ -224,9 +225,14 @@ def build_parser():
     return parser
 
 
+@cache
+def _parser():
+    """The parser, built once per process: parse_args leaves it as it was."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphError, OSError, ValueError) as exc:

@@ -1,30 +1,32 @@
 """Exhaustive enumeration and extremal-difference verification.
 
-The builtin enumerator walks every labeled connected simple graph of
-order n <= 7 in edge-mask order, with no isomorphism rejection. It runs
-in blocks: for each neighbourhood of the last vertex, over the graphs on
-the other vertices, keeping those whose every component the
-neighbourhood meets. ``sources`` serves each order of a sweep from a
-named graph6 stream (one graph per line; required above 7) or else the
-enumerator; a stream's exhaustiveness is the caller's claim, not ours.
+``enumerate_connected`` walks every labeled connected simple graph of
+order n <= 7 in edge-mask order. It runs in blocks: for each
+neighbourhood of the last two vertices, over the graphs on the other
+vertices, keeping those whose every component the neighbourhoods meet.
+``sources`` serves each order of a sweep from a named graph6 stream
+(one graph per line; required above 7) or else the builtin
+enumeration; a stream's exhaustiveness is the caller's claim, not ours.
 
 ``sweep`` is one loop over ``GraphSource.graphs()`` for either kind of
 source. Because all six invariants are functions of the unlabeled
 graph, the maximum of a difference over the labeled stream equals the
-maximum over isomorphism classes. Per graph the sweep computes only a
-degree-sorted relabeling key (equal keys always mean isomorphic graphs)
-and skips a key it has seen; the first graph of each key enters the
-reduction and is where a law failure is reported. For n <= 7 a new key
-is folded into its isomorphism class by ``canon.canonical_form``, so
-the invariants are computed once per class; above 7 once per key. The
-class table lives for one sweep.
+maximum over isomorphism classes, and the first maximizer is the first
+graph of some class. So the sweep computes the invariants once per fold
+class (the isomorphism class for n <= 7, a degree-sorted relabeling key
+above 7), on the class's first graph in stream order, which is also
+where a law failure is reported. A graph6 stream yields every graph and
+the sweep folds each one. The builtin enumeration yields only the
+graphs of the walk that no earlier graph is shown isomorphic to, a
+whole block at a time: at n = 7, 21,090 of 1,866,256. They include the
+first graph of every class, each with its index in the labeled stream.
 """
 
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import or_
+from operator import add, or_
 
-from .canon import canonical_form, relabeled_mask
+from .canon import canonical_form, canonical_labeling, relabeled_mask
 from .graph import (
     Graph,
     GraphError,
@@ -83,16 +85,26 @@ class GraphSource:
         return cls("graph6", n=n, path=path)
 
     def graphs(self):
-        """Yield the source's graphs. A graph6 stream must hold graphs of
-        one order (``n`` if given, else the first graph's) and only
+        """Yield ``(index, graph)`` pairs in stream order, where index is
+        the graph's position in the labeled stream.
+
+        A graph6 stream yields every graph. It must hold graphs of one
+        order (``n`` if given, else the first graph's) and only
         connected graphs; the first line that breaks this or is not
         graph6 raises GraphError naming the file and the line, and so
-        does a stream with no graph at all."""
+        does a stream with no graph at all.
+
+        The enumeration stands for the stream ``enumerate_connected(n)``
+        but yields only a subsequence of it: the graphs that no earlier
+        graph is shown isomorphic to. That holds the first graph of
+        every isomorphism class, and it ends with the stream's last
+        graph, K_n, so the last index + 1 is the labeled total.
+        """
         if self.kind == "enumeration":
-            yield from enumerate_connected(self.n)
+            yield from _class_firsts(self.n)
             return
         order = self.n
-        empty = True
+        index = 0
         # non-ASCII bytes decode to surrogates, which parse_graph6 rejects
         with open(self.path, encoding="ascii", errors="surrogateescape") as fh:
             for line_no, line in enumerate(fh, 1):
@@ -113,9 +125,9 @@ class GraphSource:
                 if not is_connected(g):
                     raise GraphError(
                         f"{self.path}, line {line_no}: graph is disconnected")
-                empty = False
-                yield g
-        if empty:
+                yield index, g
+                index += 1
+        if not index:
             raise GraphError(f"{self.path}: stream holds no graphs")
 
 
@@ -135,43 +147,150 @@ def sources(lo, hi, streams=None):
 def enumerate_connected(n):
     """Yield every labeled connected simple graph on n vertices exactly
     once, in increasing edge-mask order (mask bit b is the b-th pair
-    (i, j), i < j, in column order).
+    (i, j), i < j, in column order)."""
+    _check_builtin(n)
+    small, comps = _small_graphs(n - 2)
+    for na, nb, connected in _blocks(n, comps):
+        extra, tail = _lift(n, na, nb)
+        for s in compress(small, connected):
+            yield Graph(n, (*map(or_, s, extra), *tail))
 
-    The top n - 1 mask bits are the neighbourhood N of the last vertex
-    and the bits below them a graph H on the other vertices, so the loop
-    runs over N and then over H in mask order. The graph is connected
-    iff N meets every component of H. H's component partition is a
-    byte-sized id per mask, and H itself is the graph on the first
-    n - 2 vertices (a table of all of them) plus the neighbourhood of
-    vertex n - 2.
+
+def _class_firsts(n):
+    """Yield ``(index, graph)`` for the graphs of
+    ``enumerate_connected(n)`` that no earlier graph is shown isomorphic
+    to, with their positions in it. They include the first graph of
+    every isomorphism class, and the last one is K_n, the stream's last
+    graph and the only graph of its class.
+
+    A graph is (s, na, nb): s on the vertices 0..a-1 (a = n - 2), na
+    the neighbourhood of vertex a and nb that of b = n - 1, with a-b bit
+    hb. Relabeling s by its canonical labeling pi_s, fixing a and b,
+    gives (s*, pi_s(na), pi_s(nb)), so graphs with equal lifted keys (hb,
+    class of s, pi_s(na), pi_s(nb)) are isomorphic, and so are graphs
+    whose key pairs differ by an automorphism of s*. Each block keys its
+    graphs by maps over per-s tables and tests the keys against a byte
+    per key; a graph with an unseen key is built, yielded, and marks
+    the keys of its orbit under Aut(s*). No table outlives the call.
     """
+    _check_builtin(n)
+    a = n - 2
+    small, comps = _small_graphs(a)
+    # per small graph s: class id, and pi_s of every neighbourhood mask
+    # (moved[m][s], a byte); per class: each automorphism of s*, as a
+    # map of masks
+    forms, sids, autos = {}, [], []
+    moved = [bytearray(len(small)) for _ in range(1 << a)]
+    for si, s in enumerate(small):
+        form, orders = canonical_labeling(a, s)
+        sid = forms.setdefault(form, len(forms))
+        sids.append(sid)
+        if sid == len(autos):
+            # two leaf orders differ by an automorphism: j -> pos_i[order_0[j]]
+            autos.append([_mask_map([pos[v] for v in orders[0]])
+                          for pos in map(_inverse, orders)])
+        for col, x in zip(moved, _mask_map(_inverse(orders[0]))):
+            col[si] = x
+    # key = ((hb * classes + id) << a | pi_s(na)) << a | pi_s(nb & low)
+    low, width = (1 << a) - 1, 1 << 2 * a
+    # the tables' ints are shared objects (as few as the distinct values),
+    # so each list costs a pointer per small graph
+    head = [i * width for i in range(2 * len(forms))]
+    heads = [[head[hb * len(forms) + i] for i in sids] for hb in (0, 1)]
+    shifted = [x << a for x in range(1 << a)]
+    na_part = [[shifted[x] for x in col] for col in moved]
+    seen = bytearray(2 * len(forms) * width)
+    index = 0
+    for na, nb, connected in _blocks(n, comps):
+        # nb >> a is the a-b bit hb
+        keys = list(compress(map(add, map(add, heads[nb >> a], na_part[na]),
+                                 moved[nb & low]), connected))
+        flags = bytes(map(seen.__getitem__, keys))  # before this block's marks
+        i = flags.find(0)
+        if i >= 0:
+            extra, tail = _lift(n, na, nb)
+            graphs = list(compress(small, connected))
+            while i >= 0:
+                key = keys[i]
+                if not seen[key]:
+                    # mark the key's orbit under Aut(s*): those graphs
+                    # are isomorphic to this one
+                    base, x, y = key & -width, key >> a & low, key & low
+                    for m in autos[key // width % len(forms)]:
+                        seen[base | m[x] << a | m[y]] = 1
+                    yield index + i, Graph(
+                        n, (*map(or_, graphs[i], extra), *tail))
+                i = flags.find(0, i + 1)
+        index += len(keys)
+
+
+def _inverse(perm):
+    """The inverse of a permutation given as a list."""
+    inv = [0] * len(perm)
+    for j, v in enumerate(perm):
+        inv[v] = j
+    return inv
+
+
+def _mask_map(perm):
+    """Image of every mask under the vertex map v -> perm[v], as bytes
+    (so for at most 8 vertices)."""
+    out = bytearray(1 << len(perm))
+    for m in range(1, len(out)):
+        out[m] = out[m & (m - 1)] | 1 << perm[(m & -m).bit_length() - 1]
+    return bytes(out)
+
+
+def _check_builtin(n):
     if not 2 <= n <= MAX_BUILTIN_N:
         raise GraphError(f"builtin enumeration supports 2 <= n <= {MAX_BUILTIN_N}")
-    a, b = n - 2, n - 1  # the last two vertices
-    # graphs on vertices 0..a-1 in mask order, each with its components
-    small, small_comps = [()], [()]
+
+
+def _small_graphs(a):
+    """Every graph on the vertices 0..a-1 in mask order, as adjacency
+    tuples, and the components of each."""
+    small, comps = [()], [()]
     for v in range(a):
         small = [(*[x | (nv >> u & 1) << v for u, x in enumerate(s)], nv)
                  for nv in range(1 << v) for s in small]
-        small_comps = [_join(comps, nv, v)
-                       for nv in range(1 << v) for comps in small_comps]
-    # component partition id of each H, indexed by H's mask; na is the
-    # neighbourhood of vertex a, nb (below) that of vertex b
+        comps = [_join(c, nv, v) for nv in range(1 << v) for c in comps]
+    return small, comps
+
+
+def _blocks(n, small_comps):
+    """Yield ``(na, nb, connected)`` for the labeled connected graphs on
+    n vertices, in edge-mask order.
+
+    The top n - 1 mask bits are the neighbourhood nb of the last vertex
+    b and the bits below them a graph H on the other vertices, so the
+    walk runs over nb and then over H in mask order. H is a small graph
+    s on the first a = n - 2 vertices plus the neighbourhood na of
+    vertex a. The graph is connected iff nb meets every component of H,
+    and H's component partition is a byte-sized id per mask, so
+    ``connected`` is one byte per small graph, in mask order, set iff s
+    with na and nb is connected.
+    """
+    a, b = n - 2, n - 1
+    # component partition id of each H, indexed by H's mask
     ids = {}
     part_id = bytearray(
         ids.setdefault(tuple(sorted(_join(comps, na, a))), len(ids))
         for na in range(1 << a) for comps in small_comps
     )
-    size = len(small)
+    size = len(small_comps)
     for nb in range(1, 1 << b):
         meets = bytes(all(c & nb for c in part) for part in ids)
         connected = part_id.translate(meets.ljust(256, b"\0"))
         for na in range(1 << a):
-            # edges from the vertices below a to a and b
-            extra = [(na >> u & 1) << a | (nb >> u & 1) << b for u in range(a)]
-            tail = (na | (nb >> a & 1) << b, nb)
-            for s in compress(small, connected[na * size:(na + 1) * size]):
-                yield Graph(n, (*map(or_, s, extra), *tail))
+            yield na, nb, connected[na * size:(na + 1) * size]
+
+
+def _lift(n, na, nb):
+    """``(extra, tail)``: or-ing ``extra`` into a small graph's rows and
+    appending ``tail`` gives the graph with na and nb."""
+    a, b = n - 2, n - 1
+    extra = [(na >> u & 1) << a | (nb >> u & 1) << b for u in range(a)]
+    return extra, (na | (nb >> a & 1) << b, nb)
 
 
 def _join(comps, nv, v):
@@ -195,12 +314,6 @@ def _degree_sorted_key(n, adj):
     """
     return relabeled_mask(
         n, adj, sorted(range(n), key=list(map(int.bit_count, adj)).__getitem__))
-
-
-@dataclass(frozen=True)
-class _ClassStats:
-    values: dict
-    law_violations: tuple
 
 
 def _law_violations(n, values, maximal_neighbour, delta, is_path):
@@ -228,20 +341,15 @@ def _law_violations(n, values, maximal_neighbour, delta, is_path):
     return tuple(out)
 
 
-def _class_stats(classes, key, g):
-    """Invariant values and law violations of g's class, computed on g
-    itself the first time ``key`` appears in ``classes``. A key names a
-    class of isomorphic graphs, so any member of the class gives the
-    same values."""
-    stats = classes.get(key)
-    if stats is None:
-        n = g.n
-        values = invariant_values(g)
-        delta = max_degree(g)
-        is_path = delta <= 2 and g.num_edges() == n - 1
-        stats = classes[key] = _ClassStats(values, _law_violations(
-            n, values, is_maximal_neighbour_graph(g), delta, is_path))
-    return stats
+def _class_stats(g):
+    """``(values, law violations)`` of g, which stand for every graph of
+    its class."""
+    n = g.n
+    values = invariant_values(g)
+    delta = max_degree(g)
+    is_path = delta <= 2 and g.num_edges() == n - 1
+    return values, _law_violations(
+        n, values, is_maximal_neighbour_graph(g), delta, is_path)
 
 
 @dataclass
@@ -255,40 +363,45 @@ class SweepResult:
 def sweep(source, pairs=THEOREM_PAIRS, law_checks=False):
     """One pass over a graph source, reducing the requested extremal
     differences (first maximizer in stream order wins) and optionally
-    collecting pointwise law failures, once per degree-sorted key.
+    collecting pointwise law failures, once per fold class.
 
-    Graphs with a key seen before are isomorphic to that key's first
-    graph, so they repeat its values: only first graphs of their key
-    enter the reduction, and a law failure is reported at the first
-    graph of each failing key.
+    The fold class of a graph is its isomorphism class for n <= 7
+    (``canon.canonical_form``) and its degree-sorted key above 7, where
+    the canonical search, with no orbit pruning, would cost K_n n!
+    leaves. The invariants are computed on the first graph of each fold
+    class; later graphs of the class repeat its values, so only first
+    graphs enter the reduction, and a law failure is reported at the
+    first graph of each failing fold class. The enumeration source
+    skips graphs it can show are repeats, which changes none of this,
+    and ``graphs_scanned`` still counts the labeled stream.
     """
     pairs = tuple(pairs)
     check_tags(tag for pair in pairs for tag in pair)
-    classes = {}  # class -> _ClassStats, for this sweep only
     keys = set()  # degree-sorted keys seen so far
+    classes = set()  # canonical forms seen so far (n <= 7)
     best = dict.fromkeys(pairs)  # (diff, first graph with it)
     failures = []
-    for index, g in enumerate(source.graphs()):
+    for index, g in source.graphs():
         key = _degree_sorted_key(g.n, g.adj)
         if key in keys:
             continue
         keys.add(key)
         if g.n <= MAX_BUILTIN_N:
-            # fold the key into its isomorphism class; above this order
-            # the canonical search, with no orbit pruning, would cost
-            # K_n n! leaves
-            key = canonical_form(g.n, g.adj)
-        stats = _class_stats(classes, key, g)
-        values = stats.values
+            form = canonical_form(g.n, g.adj)
+            if form in classes:
+                continue
+            classes.add(form)
+        values, violations = _class_stats(g)
         for p in pairs:
             diff = values[p[0]] - values[p[1]]
             cur = best[p]
             if cur is None or diff > cur[0]:
                 best[p] = (diff, g)
-        if law_checks and stats.law_violations:
+        if law_checks and violations:
             g6 = write_graph6(g)
-            failures.extend((index, g6, msg) for msg in stats.law_violations)
-    # graphs() yields at least one graph or raises
+            failures.extend((index, g6, msg) for msg in violations)
+    # graphs() yields at least one graph, and the stream's last graph
+    # last, or raises
     n, scanned = g.n, index + 1
     reports = {
         p: ExtremalReport(p[0], p[1], n, diff, write_graph6(w), scanned)

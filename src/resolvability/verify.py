@@ -210,6 +210,9 @@ def verify_theorems(n_min, n_max, stream_paths=None):
     """
     if not 2 <= n_min <= n_max:
         raise gr.GraphError(f"invalid order range {n_min}..{n_max}")
+    if n_min == 2 and 2 in (stream_paths or {}):
+        # order 2 has no sweep checks, so its stream would go unread
+        raise gr.GraphError("stream for order 2, which verify never sweeps")
     checks = []
     for source in sources(max(3, n_min), n_max, stream_paths):
         checks.extend(verify_order(source))

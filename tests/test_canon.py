@@ -1,9 +1,9 @@
 import random
-from itertools import permutations
+from itertools import compress, permutations
 
 import pytest
 
-from resolvability.canon import canonical_form
+from resolvability.canon import canonical_form, canonical_labeling, relabeled_mask
 from resolvability.extremal import enumerate_connected
 from resolvability.graph import from_edge_list
 
@@ -51,3 +51,28 @@ def test_class_counts():
               for n in range(2, 7)]
     assert counts == [1, 2, 6, 21, 112]
 
+
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_labelings_are_the_automorphism_coset(n):
+    # every graph on n vertices, connected or not: each order maps the
+    # graph onto its form, and there is one order per automorphism
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    for mask in range(1 << len(pairs)):
+        adj = [0] * n
+        for i, j in compress(pairs, (mask >> b & 1 for b in range(len(pairs)))):
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        form, orders = canonical_labeling(n, adj)
+        assert form == canonical_form(n, adj)
+        assert all(relabeled_mask(n, adj, order) == form for order in orders)
+        assert len(set(map(tuple, orders))) == len(orders)
+        own = relabeled_mask(n, adj, range(n))
+        autos = sum(relabeled_mask(n, adj, p) == own
+                    for p in permutations(range(n)))
+        assert len(orders) == autos
+
+
+def test_empty_graph_labeling():
+    assert canonical_labeling(0, ()) == (0, [[]])

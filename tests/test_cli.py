@@ -5,6 +5,7 @@ import json
 import pytest
 
 from resolvability.cli import main
+from resolvability.graph import GraphError
 
 
 def run(capsys, *argv):
@@ -313,3 +314,36 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "8..8")
         assert code == 1
         assert "stream" in err
+
+    def test_order_2_stream_named(self, capsys):
+        # order 2 lies in the typed range but has no sweep to read it
+        code, out, err = run(capsys, "verify", "2..3", "--stream", "2:x.g6")
+        assert code == 1
+        assert out == ""
+        assert err == "error: stream for order 2, which verify never sweeps\n"
+
+
+class TestParser:
+    def test_successive_calls_do_not_share_streams(self, capsys, monkeypatch):
+        from resolvability import cli
+        seen = []
+
+        def parse_streams(items):
+            seen.append(items)
+            raise GraphError("stop before any sweep")
+
+        monkeypatch.setattr(cli, "_parse_streams", parse_streams)
+        for path in ("a.g6", "b.g6"):
+            code, _, _ = run(capsys, "verify", "8..8", "--stream", f"8:{path}")
+            assert code == 1
+        assert seen == [["8:a.g6"], ["8:b.g6"]]
+
+    def test_bad_argument_exits_2(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["compute", "--gen", "path:4", "--format", "xml"])
+            assert exc.value.code == 2
+            assert "invalid choice: 'xml'" in capsys.readouterr().err
+        code, out, _ = run(capsys, "compute", "--gen", "path:4",
+                           "--invariants", "psi", "--format", "csv")
+        assert (code, out) == (0, "invariant,value,witness\npsi,2,v1 v4\n")

@@ -1,4 +1,7 @@
+import json
 import random
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -11,14 +14,21 @@ from resolvability import (
     write_graph6,
 )
 from resolvability import extremal
+from resolvability.canon import canonical_form
 from resolvability.extremal import (
     THEOREM_PAIRS,
+    ExtremalReport,
     GraphSource,
-    _degree_sorted_key,
+    SweepResult,
     sources,
     sweep,
 )
-from resolvability.graph import Graph, from_edge_list
+from resolvability.graph import (
+    Graph,
+    from_edge_list,
+    is_maximal_neighbour_graph,
+    max_degree,
+)
 
 from conftest import random_connected_graph
 
@@ -57,6 +67,52 @@ def _slot_unpack_enumeration(n):
 
 # connected graphs up to isomorphism (OEIS A001349)
 A001349 = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+# labeled connected graphs (OEIS A001187)
+A001187 = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify.json"
+
+
+@lru_cache(maxsize=None)
+def _class_firsts_naive(n):
+    """(index, graph, values) for the first graph of each isomorphism
+    class of the full labeled stream, in stream order."""
+    seen, out = set(), []
+    for index, g in enumerate(enumerate_connected(n)):
+        form = canonical_form(n, g.adj)
+        if form not in seen:
+            seen.add(form)
+            out.append((index, g, invariant_values(g)))
+    return tuple(out)
+
+
+def _naive_sweep(n, pairs):
+    """The sweep's result from every labeled graph: the first maximizer
+    of each pair and the law failures of each class's first graph."""
+    best = {}
+    failures = []
+    for index, g, values in _class_firsts_naive(n):
+        for p in pairs:
+            diff = values[p[0]] - values[p[1]]
+            if p not in best or diff > best[p][0]:
+                best[p] = (diff, g)
+        delta = max_degree(g)
+        is_path = g.num_edges() == n - 1 and delta <= 2
+        for msg in extremal._law_violations(
+                n, values, is_maximal_neighbour_graph(g), delta, is_path):
+            failures.append((index, write_graph6(g), msg))
+    scanned = A001187[n]
+    reports = {p: ExtremalReport(p[0], p[1], n, d, write_graph6(w), scanned)
+               for p, (d, w) in best.items()}
+    return SweepResult(n, scanned, reports, failures)
+
+
+def _flag_paths(n, values, maximal_neighbour, delta, is_path):
+    return ("flagged path",) if is_path else ()
+
+
+def _flag_all(n, values, maximal_neighbour, delta, is_path):
+    return ("flagged", f"flagged {n}")
 
 
 class TestEnumeration:
@@ -145,10 +201,11 @@ class TestExtremalDifference:
             values = invariant_values(parse_graph6(report.witness_graph6))
             assert values[xi1] - values[xi2] == report.max_diff
 
-    def test_witness_is_first_maximizer(self):
-        graphs = list(enumerate_connected(4))
+    @pytest.mark.parametrize("n", (4, 5))
+    def test_witness_is_first_maximizer(self, n):
+        graphs = list(enumerate_connected(n))
         values = [invariant_values(g) for g in graphs]
-        result = sweep(GraphSource.enumeration(4))
+        result = sweep(GraphSource.enumeration(n))
         for (xi1, xi2), report in result.reports.items():
             diffs = [v[xi1] - v[xi2] for v in values]
             first = graphs[diffs.index(max(diffs))]
@@ -232,47 +289,78 @@ class TestSweepLaws:
         assert result.law_failures == []
         assert result.graphs_scanned == sum(1 for _ in enumerate_connected(n))
 
-    def test_law_failures_reported_once_per_key(self, monkeypatch, tmp_path):
-        def flag_paths(n, values, maximal_neighbour, delta, is_path):
-            return ("flagged path",) if is_path else ()
-
-        monkeypatch.setattr(extremal, "_law_violations", flag_paths)
+    def test_law_failures_reported_once_per_class(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(extremal, "_law_violations", _flag_paths)
         graphs = list(enumerate_connected(4))
         paths = [i for i, g in enumerate(graphs)
                  if g.num_edges() == 3 and max(g.degrees()) == 2]
         result = sweep(GraphSource.enumeration(4), pairs=(), law_checks=True)
-        failures = result.law_failures
-        for index, g6, msg in failures:
-            assert index in paths
-            assert (g6, msg) == (write_graph6(graphs[index]), "flagged path")
-        assert failures[0][0] == paths[0]
-        keys = [_degree_sorted_key(4, graphs[i].adj) for i, _, _ in failures]
-        assert len(set(keys)) == len(keys)
-        assert set(keys) == {_degree_sorted_key(4, graphs[i].adj) for i in paths}
+        # P_4 is one class: one failure, at its first labeled graph
+        assert result.law_failures == [
+            (paths[0], write_graph6(graphs[paths[0]]), "flagged path")]
         p = tmp_path / "n4.g6"
         _write_stream(p, graphs)
         stream = sweep(GraphSource.graph6_file(str(p)), pairs=(),
                        law_checks=True)
-        assert stream.law_failures == failures
+        assert stream.law_failures == result.law_failures
 
     @pytest.mark.parametrize("n", (5, 6))
-    def test_law_failures_match_naive_scan(self, monkeypatch, n):
-        def flag_paths(n, values, maximal_neighbour, delta, is_path):
-            return ("flagged path",) if is_path else ()
-
-        monkeypatch.setattr(extremal, "_law_violations", flag_paths)
-        # naive: the first graph of each degree key that is a path
-        expected, keys = [], set()
-        for index, g in enumerate(enumerate_connected(n)):
-            key = _degree_sorted_key(n, g.adj)
-            if key in keys:
-                continue
-            keys.add(key)
+    def test_law_failures_match_naive_scan(self, monkeypatch, tmp_path, n):
+        monkeypatch.setattr(extremal, "_law_violations", _flag_paths)
+        # naive: the first graph of each isomorphism class that is a path
+        expected = []
+        for index, g, _ in _class_firsts_naive(n):
             if g.num_edges() == n - 1 and max(g.degrees()) == 2:
                 expected.append((index, write_graph6(g), "flagged path"))
-        assert len(expected) > 1  # one isomorphism class, many keys
+        assert len(expected) == 1  # P_n is one class
         result = sweep(GraphSource.enumeration(n), pairs=(), law_checks=True)
         assert result.law_failures == expected
+        p = tmp_path / f"n{n}.g6"
+        _write_stream(p, enumerate_connected(n))
+        stream = sweep(GraphSource.graph6_file(str(p)), pairs=(),
+                       law_checks=True)
+        assert stream.law_failures == expected
+
+
+class TestEnumerationSource:
+    """The builtin source skips graphs it can show are repeats; the
+    sweep must not see the difference."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("laws", ["real", "paths", "all"])
+    def test_sweep_equals_naive_scan(self, monkeypatch, n, laws):
+        if laws != "real":
+            monkeypatch.setattr(extremal, "_law_violations",
+                                _flag_paths if laws == "paths" else _flag_all)
+        result = sweep(GraphSource.enumeration(n), THEOREM_PAIRS,
+                       law_checks=True)
+        assert result == _naive_sweep(n, THEOREM_PAIRS)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_indices_are_stream_positions(self, n):
+        graphs = list(enumerate_connected(n))
+        yielded = list(GraphSource.enumeration(n).graphs())
+        assert all(graphs[index] == g for index, g in yielded)
+        indices = [index for index, _ in yielded]
+        assert indices == sorted(set(indices))
+        assert indices[-1] == len(graphs) - 1
+        assert {i for i, _, _ in _class_firsts_naive(n)} <= set(indices)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_graphs_scanned_is_labeled_count(self, n):
+        result = sweep(GraphSource.enumeration(n), pairs=())
+        assert result.graphs_scanned == A001187[n]
+
+    def test_order_7_matches_reference(self):
+        reference = json.loads(REFERENCE.read_text())["reports"]["7"]
+        result = sweep(GraphSource.enumeration(7), THEOREM_PAIRS,
+                       law_checks=True)
+        assert result.graphs_scanned == A001187[7]
+        assert result.law_failures == []
+        got = {f"{a}-{b}": {"max_diff": r.max_diff,
+                            "witness_graph6": r.witness_graph6}
+               for (a, b), r in result.reports.items()}
+        assert got == reference
 
 
 class TestClassSolves:

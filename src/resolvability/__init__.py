@@ -33,12 +33,10 @@ from .families import (
     family_strict,
     family_weak,
     is_doubly_resolving,
-    mixed_pair_family,
     vertex_pair_family,
     w_sets,
 )
 from .hitting import (
-    HittingSolution,
     InfeasibleInstanceError,
     brute_force_min_hitting,
     greedy_hitting,

@@ -10,13 +10,14 @@ checks pass, 1 input error, 2 verification failure.
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
 from functools import cache
 
 from . import graph as gr
-from .extremal import extremal_difference, sources
+from .extremal import ExtremalReport, extremal_difference, sources
 from .graph import GraphError
 from .graph6 import parse_graph6, write_graph6
 from .invariants import TAGS, all_invariants, result_record
@@ -92,7 +93,9 @@ def _load_graph(args):
 def cmd_compute(args):
     g = _load_graph(args)
     selected = TAGS
-    if args.invariants:
+    if args.invariants is not None:
+        if not args.invariants.strip():
+            raise GraphError("empty --invariants list; name at least one tag")
         selected = tuple(t.strip() for t in args.invariants.split(","))
     results = all_invariants(g, selected)
     if args.format == "json":
@@ -142,17 +145,10 @@ def cmd_families(args):
 
 def cmd_extremal(args):
     lo, hi = _parse_range(args.range)
-    rows = []
-    for source in sources(lo, hi, _parse_streams(args.stream)):
-        report = extremal_difference(args.xi1, args.xi2, source)
-        rows.append({
-            "xi1": report.xi1, "xi2": report.xi2, "n": report.n,
-            "max_diff": report.max_diff,
-            "witness_graph6": report.witness_graph6,
-            "graphs_scanned": report.graphs_scanned,
-        })
+    rows = [dataclasses.asdict(extremal_difference(args.xi1, args.xi2, source))
+            for source in sources(lo, hi, _parse_streams(args.stream))]
     _emit(rows, args.format, args.out,
-          ["xi1", "xi2", "n", "max_diff", "witness_graph6", "graphs_scanned"])
+          [f.name for f in dataclasses.fields(ExtremalReport)])
     return 0
 
 

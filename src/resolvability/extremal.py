@@ -4,8 +4,8 @@
 order n <= 7 in edge-mask order. It runs in blocks: for each
 neighbourhood of the last two vertices, over the graphs on the other
 vertices, keeping those whose every component the neighbourhoods meet.
-``sources`` serves each order of a sweep from a named graph6 stream
-(one graph per line; required above 7) or else the builtin
+``sources`` serves each order n >= 2 of a sweep from a named graph6
+stream (one graph per line; required above 7) or else the builtin
 enumeration; a stream's exhaustiveness is the caller's claim, not ours.
 
 ``sweep`` is one loop over ``GraphSource.graphs()`` for either kind of
@@ -14,8 +14,9 @@ graph, the maximum of a difference over the labeled stream equals the
 maximum over isomorphism classes, and the first maximizer is the first
 graph of some class. So the sweep computes the invariants once per fold
 class (the isomorphism class for n <= 7, a degree-sorted relabeling key
-above 7), on the class's first graph in stream order, which is also
-where a law failure is reported. A graph6 stream yields every graph and
+above 7), on the class's first graph in stream order. Every sweep
+checks the pointwise laws there too, so a law failure is reported at
+the first graph of its class. A graph6 stream yields every graph and
 the sweep folds each one. The builtin enumeration yields only the
 graphs of the walk that no earlier graph is shown isomorphic to, a
 whole block at a time: at n = 7, 21,090 of 1,866,256. They include the
@@ -73,11 +74,7 @@ class GraphSource:
 
     @classmethod
     def enumeration(cls, n):
-        if not 2 <= n <= MAX_BUILTIN_N:
-            raise GraphError(
-                f"builtin enumeration supports 2 <= n <= {MAX_BUILTIN_N}; "
-                f"use a graph6 stream for n = {n}"
-            )
+        _check_builtin(n)
         return cls("enumeration", n=n)
 
     @classmethod
@@ -134,12 +131,21 @@ class GraphSource:
 def sources(lo, hi, streams=None):
     """One GraphSource per order lo..hi, in order: the graph6 file that
     ``streams`` (order -> path) names for an order, else the builtin
-    enumeration. Raises GraphError before any graph is read if a
-    stream's order lies outside lo..hi or an order has no source."""
+    enumeration. Raises GraphError before any graph is read if lo < 2, a
+    stream's order lies outside lo..hi or an order above 7 has no
+    stream."""
+    if lo < 2:
+        raise GraphError(
+            f"no sweep of order {lo}: invariants are defined for n >= 2")
     streams = streams or {}
     outside = sorted(n for n in streams if not lo <= n <= hi)
     if outside:
         raise GraphError(f"stream for order {outside[0]} outside {lo}..{hi}")
+    for n in range(max(lo, MAX_BUILTIN_N + 1), hi + 1):
+        if n not in streams:
+            raise GraphError(
+                f"builtin enumeration supports 2 <= n <= {MAX_BUILTIN_N}; "
+                f"use a graph6 stream for n = {n}")
     return [GraphSource.graph6_file(streams[n], n=n) if n in streams
             else GraphSource.enumeration(n) for n in range(lo, hi + 1)]
 
@@ -360,10 +366,10 @@ class SweepResult:
     law_failures: list = field(default_factory=list)  # (index, graph6, message)
 
 
-def sweep(source, pairs=THEOREM_PAIRS, law_checks=False):
+def sweep(source, pairs=THEOREM_PAIRS):
     """One pass over a graph source, reducing the requested extremal
-    differences (first maximizer in stream order wins) and optionally
-    collecting pointwise law failures, once per fold class.
+    differences (first maximizer in stream order wins) and collecting
+    pointwise law failures, once per fold class.
 
     The fold class of a graph is its isomorphism class for n <= 7
     (``canon.canonical_form``) and its degree-sorted key above 7, where
@@ -397,7 +403,7 @@ def sweep(source, pairs=THEOREM_PAIRS, law_checks=False):
             cur = best[p]
             if cur is None or diff > cur[0]:
                 best[p] = (diff, g)
-        if law_checks and violations:
+        if violations:
             g6 = write_graph6(g)
             failures.extend((index, g6, msg) for msg in violations)
     # graphs() yields at least one graph, and the stream's last graph

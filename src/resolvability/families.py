@@ -127,13 +127,6 @@ def edge_pair_family(g, dist):
         g.n, combinations(_edge_distance_rows(g, dist), 2)))
 
 
-def mixed_pair_family(g, dist):
-    """One resolver set per unordered pair of distinct items (vertices
-    and edges), in the order of ``compose_mixed_family``."""
-    return compose_mixed_family(
-        g, dist, vertex_pair_family(g, dist), edge_pair_family(g, dist))
-
-
 def compose_mixed_family(g, dist, vertex, edge):
     """The mixed pair family from g's built vertex and edge pair
     families: their sets, then one resolver set per (vertex, edge) pair

@@ -14,28 +14,19 @@ vertices it already skipped, or when a disjoint packing of unhit sets,
 cut to the vertices it may still choose, needs more than the budget.
 Both prunes drop only subtrees without a solution, so the first
 solution found is both minimum and lexicographically smallest (as a
-sorted vertex sequence), and witnesses are deterministic.
+sorted vertex sequence), and witnesses are deterministic. Every solver
+returns its hitting set as a bitmask.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, repeat
 
-from .graph import bits_list, iter_bits
+from .graph import iter_bits
 
 MAX_UNIVERSE = 62
 
 
 class InfeasibleInstanceError(ValueError):
     """The family contains an empty set, so no hitting set exists."""
-
-
-@dataclass(frozen=True)
-class HittingSolution:
-    mask: int
-    size: int
-
-    def vertices(self):
-        return bits_list(self.mask)
 
 
 def verify_hitting(sets, mask):
@@ -106,15 +97,13 @@ def _reduce(n, sets):
     set is kept iff no kept set before it is a subset of it, and the
     kept sets come in ``_by_size`` order.
     """
+    # one pass suffices: dropping the sets a forced vertex hits leaves
+    # every other set as it was, so no new singleton appears
     forced = 0
-    work = set(sets)
-    while True:
-        singles = [s for s in work if s.bit_count() == 1]
-        if not singles:
-            break
-        for s in singles:
+    for s in sets:
+        if s.bit_count() == 1:
             forced |= s
-        work = {s for s in work if not s & forced}
+    work = {s for s in sets if not s & forced}
     if not work:
         return forced, []
     order = _by_size(work)
@@ -146,8 +135,8 @@ def _transpose(n, sets):
 
 
 def min_hitting_exact(n, sets, use_reductions=True):
-    """Exact minimum hitting set with the lexicographically smallest
-    optimal witness (compared as sorted vertex-index sequences).
+    """The bitmask of a minimum hitting set: the lexicographically
+    smallest optimum, compared as sorted vertex-index sequences.
 
     After the reductions, the search tries budgets 1, 2, ... and returns
     the first hitting set it meets within a budget, choosing vertices in
@@ -163,7 +152,7 @@ def min_hitting_exact(n, sets, use_reductions=True):
     index-order search would meet first: the lexicographically smallest
     optimum.
 
-    An empty family yields the empty set of cardinality 0.
+    An empty family yields the empty set, mask 0.
     """
     _check_instance(n, sets)
     if use_reductions:
@@ -171,7 +160,7 @@ def min_hitting_exact(n, sets, use_reductions=True):
     else:
         forced, work = 0, _by_size(sets)
     if not work:
-        return HittingSolution(forced, forced.bit_count())
+        return forced
     cover, below = _transpose(n, work)
 
     def search(unhit, budget, start):
@@ -209,22 +198,20 @@ def min_hitting_exact(n, sets, use_reductions=True):
             # forced vertices belong to every hitting set, and every
             # optimum uses exactly ``extra`` further vertices, so the
             # first solution in index order is the lex-min optimum.
-            mask = forced | found
-            return HittingSolution(mask, mask.bit_count())
+            return forced | found
     raise AssertionError("the universe hits every set")  # pragma: no cover
 
 
 def brute_force_min_hitting(n, sets):
     """Independent oracle: enumerate subsets by cardinality then lex
-    order and return the first hitting set. Exponential; tests only."""
+    order and return the first hitting set's bitmask. Exponential; tests
+    only."""
     _check_instance(n, sets)
-    if not sets:
-        return HittingSolution(0, 0)
     for k in range(0, n + 1):
         for combo in combinations(range(n), k):
             mask = 0
             for v in combo:
                 mask |= 1 << v
             if verify_hitting(sets, mask):
-                return HittingSolution(mask, k)
+                return mask
     raise AssertionError("full universe must hit every non-empty set")

@@ -63,7 +63,7 @@ def _solve(tag, family, dist):
     sets = family.sets
     # only P_2's edge-pair family is empty (one edge, no pair to resolve);
     # the closed form beta_E(P_n) = 1 covers n = 2, with witness {v_1}
-    mask = min_hitting_exact(family.n, sets).mask if sets else 1
+    mask = min_hitting_exact(family.n, sets) if sets else 1
     witness = bits_list(mask)
     check = _PIPELINE[tag][2]
     valid = verify_hitting(sets, mask) and (not check or check(dist, witness))

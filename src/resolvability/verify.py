@@ -69,7 +69,7 @@ def verify_order(source):
     """All sweep-based checks for one source (exhaustive if builtin)."""
     n = source.n
     exhaustive = source.kind == "enumeration"
-    result = sweep(source, pairs=THEOREM_PAIRS, law_checks=True)
+    result = sweep(source, THEOREM_PAIRS)
     d = {p: result.reports[p].max_diff for p in THEOREM_PAIRS}
     checks = []
     if n >= 3:

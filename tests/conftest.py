@@ -2,10 +2,12 @@ import random
 
 import pytest
 
-from resolvability import from_edge_list, invariant_values
+from resolvability import (
+    edge_pair_family, from_edge_list, invariant_values, vertex_pair_family)
 from resolvability.canon import canonical_form
 from resolvability.extremal import (
     THEOREM_PAIRS, GraphSource, enumerate_connected, sweep)
+from resolvability.families import compose_mixed_family
 
 
 def random_connected_graph(rng, n_min=2, n_max=12):
@@ -16,6 +18,13 @@ def random_connected_graph(rng, n_min=2, n_max=12):
     extra = rng.randint(0, len(possible) // 2)
     edges += rng.sample(possible, extra)
     return from_edge_list(n, edges)
+
+
+def mixed_pair_family(g, dist):
+    """The mixed pair family as the beta_M pipeline builds it: the
+    vertex and edge pair families, then the vertex-edge pairs."""
+    return compose_mixed_family(
+        g, dist, vertex_pair_family(g, dist), edge_pair_family(g, dist))
 
 
 def random_hitting_instance(rng, max_universe=16, max_sets=24):
@@ -36,9 +45,7 @@ def theorem_sweeps():
 
     def get(n):
         if n not in cache:
-            cache[n] = sweep(
-                GraphSource.enumeration(n), THEOREM_PAIRS, law_checks=True
-            )
+            cache[n] = sweep(GraphSource.enumeration(n), THEOREM_PAIRS)
         return cache[n]
 
     return get

@@ -216,7 +216,7 @@ def test_criterion_6_solver_oracle_equivalence():
         oracle = brute_force_min_hitting(n, sets)
         for use_reductions in (True, False):
             sol = min_hitting_exact(n, sets, use_reductions=use_reductions)
-            if (sol.size, sol.mask) != (oracle.size, oracle.mask):
+            if sol != oracle:
                 mismatches.append((i, use_reductions))
     _report(6, not mismatches,
             f"exact solver vs brute-force oracle on 1000 random instances, "

@@ -116,6 +116,13 @@ class TestCompute:
         assert set(record) == {"graph6", "n", "m", "psi", "witnesses"}
         assert record["witnesses"] == {"psi": [1, 2, 3, 4, 5]}
 
+    def test_empty_invariant_list(self, capsys):
+        code, out, err = run(capsys, "compute", "--gen", "path:3",
+                             "--invariants=")
+        assert code == 1
+        assert out == ""
+        assert err == "error: empty --invariants list; name at least one tag\n"
+
     def test_unknown_invariant(self, capsys):
         code, out, err = run(capsys, "compute", "--gen", "path:3",
                              "--invariants", "psi,bogus")
@@ -191,6 +198,15 @@ class TestExtremal:
         assert code == 1
         assert out == ""
         assert "empty range '5..3'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("1..3",), ("0..3", "--stream", "0:x.g6")])
+    def test_order_below_2(self, capsys, argv):
+        code, out, err = run(capsys, "extremal", "psi", "beta", *argv)
+        assert code == 1
+        assert out == ""
+        assert err == (f"error: no sweep of order {argv[0][0]}: invariants "
+                       f"are defined for n >= 2\n")
 
     def test_stream_required_above_7(self, capsys):
         code, _, err = run(capsys, "extremal", "psi", "beta_E", "8")

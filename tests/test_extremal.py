@@ -227,10 +227,8 @@ class TestStreamSource:
         for n in (5, 6):
             p = tmp_path / f"n{n}.g6"
             _write_stream(p, enumerate_connected(n))
-            builtin = sweep(GraphSource.enumeration(n), THEOREM_PAIRS,
-                            law_checks=True)
-            stream = sweep(GraphSource.graph6_file(str(p)), THEOREM_PAIRS,
-                           law_checks=True)
+            builtin = sweep(GraphSource.enumeration(n), THEOREM_PAIRS)
+            stream = sweep(GraphSource.graph6_file(str(p)), THEOREM_PAIRS)
             assert stream == builtin
 
     def test_empty_stream(self, tmp_path):
@@ -281,11 +279,20 @@ class TestSources:
         with pytest.raises(GraphError, match="graph6 stream for n = 8"):
             sources(6, 9, {9: "n9.g6"})
 
+    @pytest.mark.parametrize("lo,streams", [
+        (1, {}), (0, {}), (0, {0: "n0.g6"}), (1, {3: "n3.g6"})])
+    def test_order_below_2(self, lo, streams):
+        # no stream can help below order 2, so the message offers none
+        with pytest.raises(GraphError) as info:
+            sources(lo, 3, streams)
+        assert str(info.value) == (
+            f"no sweep of order {lo}: invariants are defined for n >= 2")
+
 
 class TestSweepLaws:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_no_law_failures(self, n):
-        result = sweep(GraphSource.enumeration(n), pairs=(), law_checks=True)
+        result = sweep(GraphSource.enumeration(n), pairs=())
         assert result.law_failures == []
         assert result.graphs_scanned == sum(1 for _ in enumerate_connected(n))
 
@@ -294,14 +301,13 @@ class TestSweepLaws:
         graphs = list(enumerate_connected(4))
         paths = [i for i, g in enumerate(graphs)
                  if g.num_edges() == 3 and max(g.degrees()) == 2]
-        result = sweep(GraphSource.enumeration(4), pairs=(), law_checks=True)
+        result = sweep(GraphSource.enumeration(4), pairs=())
         # P_4 is one class: one failure, at its first labeled graph
         assert result.law_failures == [
             (paths[0], write_graph6(graphs[paths[0]]), "flagged path")]
         p = tmp_path / "n4.g6"
         _write_stream(p, graphs)
-        stream = sweep(GraphSource.graph6_file(str(p)), pairs=(),
-                       law_checks=True)
+        stream = sweep(GraphSource.graph6_file(str(p)), pairs=())
         assert stream.law_failures == result.law_failures
 
     @pytest.mark.parametrize("n", (5, 6))
@@ -313,12 +319,11 @@ class TestSweepLaws:
             if g.num_edges() == n - 1 and max(g.degrees()) == 2:
                 expected.append((index, write_graph6(g), "flagged path"))
         assert len(expected) == 1  # P_n is one class
-        result = sweep(GraphSource.enumeration(n), pairs=(), law_checks=True)
+        result = sweep(GraphSource.enumeration(n), pairs=())
         assert result.law_failures == expected
         p = tmp_path / f"n{n}.g6"
         _write_stream(p, enumerate_connected(n))
-        stream = sweep(GraphSource.graph6_file(str(p)), pairs=(),
-                       law_checks=True)
+        stream = sweep(GraphSource.graph6_file(str(p)), pairs=())
         assert stream.law_failures == expected
 
 
@@ -332,8 +337,7 @@ class TestEnumerationSource:
         if laws != "real":
             monkeypatch.setattr(extremal, "_law_violations",
                                 _flag_paths if laws == "paths" else _flag_all)
-        result = sweep(GraphSource.enumeration(n), THEOREM_PAIRS,
-                       law_checks=True)
+        result = sweep(GraphSource.enumeration(n), THEOREM_PAIRS)
         assert result == _naive_sweep(n, THEOREM_PAIRS)
 
     @pytest.mark.parametrize("n", range(2, 7))
@@ -353,8 +357,7 @@ class TestEnumerationSource:
 
     def test_order_7_matches_reference(self):
         reference = json.loads(REFERENCE.read_text())["reports"]["7"]
-        result = sweep(GraphSource.enumeration(7), THEOREM_PAIRS,
-                       law_checks=True)
+        result = sweep(GraphSource.enumeration(7), THEOREM_PAIRS)
         assert result.graphs_scanned == A001187[7]
         assert result.law_failures == []
         got = {f"{a}-{b}": {"max_diff": r.max_diff,
@@ -373,5 +376,5 @@ class TestClassSolves:
             return invariant_values(g)
 
         monkeypatch.setattr(extremal, "invariant_values", counted)
-        sweep(GraphSource.enumeration(n), THEOREM_PAIRS, law_checks=True)
+        sweep(GraphSource.enumeration(n), THEOREM_PAIRS)
         assert len(calls) == A001349[n]

@@ -16,7 +16,6 @@ from resolvability import (
     family_weak,
     from_edge_list,
     is_doubly_resolving,
-    mixed_pair_family,
     path,
     star,
     vertex_pair_family,
@@ -26,7 +25,7 @@ from resolvability.extremal import enumerate_connected
 from resolvability.families import compose_mixed_family, psi_family
 from resolvability.graph import bits_list, mask_of
 
-from conftest import random_connected_graph
+from conftest import mixed_pair_family, random_connected_graph
 
 
 def _dist(g):

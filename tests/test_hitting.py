@@ -14,17 +14,17 @@ from resolvability import (
     family_weak,
     greedy_hitting,
     min_hitting_exact,
-    mixed_pair_family,
     path,
     star,
     verify_hitting,
     vertex_pair_family,
 )
 from resolvability.families import psi_family
-from resolvability.graph import mask_of
+from resolvability.graph import bits_list, mask_of
 from resolvability.hitting import _reduce
 
-from conftest import random_connected_graph, random_hitting_instance
+from conftest import (
+    mixed_pair_family, random_connected_graph, random_hitting_instance)
 
 
 class TestVerify:
@@ -68,19 +68,17 @@ class TestExact:
         for n in range(3, 8):
             g = complete(n)
             fam = family_weak(g, all_pairs_distances(g))
-            assert min_hitting_exact(n, fam.sets).size == 2
+            assert min_hitting_exact(n, fam.sets).bit_count() == 2
 
     def test_strict_family_star(self):
         n = 6
         g = star(n)
         fam = family_strict(g, all_pairs_distances(g))
         sol = min_hitting_exact(n, fam.sets)
-        assert sol.size == n - 1
-        assert sol.vertices() == tuple(range(1, n))
+        assert bits_list(sol) == tuple(range(1, n))
 
     def test_empty_family(self):
-        sol = min_hitting_exact(10, ())
-        assert sol.size == 0 and sol.mask == 0
+        assert min_hitting_exact(10, ()) == 0
 
     def test_empty_set_infeasible(self):
         with pytest.raises(InfeasibleInstanceError):
@@ -94,7 +92,7 @@ class TestExact:
         # optima are all {a, b} with a in {0,1}, b in {2,3}; the
         # sorted-sequence order prefers (0, 2)
         sets = (0b0011, 0b1100)
-        assert min_hitting_exact(4, sets).vertices() == (0, 2)
+        assert bits_list(min_hitting_exact(4, sets)) == (0, 2)
 
     def test_deterministic(self):
         rng = random.Random(4)
@@ -109,9 +107,8 @@ class TestExact:
         for _ in range(200):
             n, sets = random_hitting_instance(rng)
             sol = min_hitting_exact(n, sets)
-            assert verify_hitting(sets, sol.mask)
-            assert sol.size == sol.mask.bit_count()
-            assert sol.size <= greedy_hitting(n, sets).bit_count()
+            assert verify_hitting(sets, sol)
+            assert sol.bit_count() <= greedy_hitting(n, sets).bit_count()
 
 
 class TestOracleEquivalence:
@@ -122,8 +119,7 @@ class TestOracleEquivalence:
             oracle = brute_force_min_hitting(n, sets)
             for use_reductions in (True, False):
                 sol = min_hitting_exact(n, sets, use_reductions=use_reductions)
-                assert sol.size == oracle.size
-                assert sol.mask == oracle.mask  # both lex-minimal
+                assert sol == oracle  # both lex-minimal
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -132,9 +128,7 @@ class TestOracleEquivalence:
     )
     def test_matches_brute_force_property(self, n, raw_sets):
         sets = tuple(s % (1 << n) or 1 for s in raw_sets)
-        oracle = brute_force_min_hitting(n, sets)
-        sol = min_hitting_exact(n, sets)
-        assert (sol.size, sol.mask) == (oracle.size, oracle.mask)
+        assert min_hitting_exact(n, sets) == brute_force_min_hitting(n, sets)
 
 
 RESOLVER_BUILDERS = (
@@ -162,7 +156,7 @@ class TestResolverFamilies:
             for use_reductions in (True, False):
                 sol = min_hitting_exact(
                     g.n, sets, use_reductions=use_reductions)
-                assert (sol.size, sol.mask) == (oracle.size, oracle.mask)
+                assert sol == oracle
 
 
 def _reduce_by_comparison(sets):

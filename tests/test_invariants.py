@@ -287,8 +287,7 @@ class TestPipeline:
         # beta_M's family reuses them and computes only the vertex-edge
         # pairs, so every pair resolver set is computed exactly once
         calls = []
-        for name in ("vertex_pair_family", "edge_pair_family",
-                     "mixed_pair_family"):
+        for name in ("vertex_pair_family", "edge_pair_family"):
             def counted(*args, _name=name, _f=getattr(families, name)):
                 calls.append(_name)
                 return _f(*args)

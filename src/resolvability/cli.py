@@ -53,12 +53,18 @@ def _emit(rows, fmt, out, columns):
         sys.stdout.write(text)
 
 
+def _is_order(text):
+    """True iff ``text`` is ASCII digits only; ``int()`` would also take
+    signs, underscores, spaces and the digits of other scripts."""
+    return text.isascii() and text.isdigit()
+
+
 def _parse_range(text):
     lo, sep, hi = text.partition("..")
-    try:
-        lo, hi = int(lo), int(hi if sep else lo)
-    except ValueError:
-        raise GraphError(f"bad range {text!r}, expected N or N..M") from None
+    hi = hi if sep else lo
+    if not (_is_order(lo) and _is_order(hi)):
+        raise GraphError(f"bad range {text!r}, expected N or N..M")
+    lo, hi = int(lo), int(hi)
     if hi < lo:
         raise GraphError(f"empty range {text!r}: {hi} < {lo}")
     return lo, hi
@@ -69,7 +75,7 @@ def _parse_streams(items):
     streams = {}
     for item in items or ():
         n_text, sep, path = item.partition(":")
-        if not sep or not n_text.isdecimal():
+        if not sep or not _is_order(n_text):
             raise GraphError(f"bad --stream {item!r}, expected N:PATH")
         n = int(n_text)
         if n in streams:

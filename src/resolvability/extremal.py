@@ -12,15 +12,14 @@ enumeration; a stream's exhaustiveness is the caller's claim, not ours.
 source. Because all six invariants are functions of the unlabeled
 graph, the maximum of a difference over the labeled stream equals the
 maximum over isomorphism classes, and the first maximizer is the first
-graph of some class. So the sweep computes the invariants once per fold
-class (the isomorphism class for n <= 7, a degree-sorted relabeling key
-above 7), on the class's first graph in stream order. Every sweep
-checks the pointwise laws there too, so a law failure is reported at
-the first graph of its class. A graph6 stream yields every graph and
-the sweep folds each one. The builtin enumeration yields only the
-graphs of the walk that no earlier graph is shown isomorphic to, a
-whole block at a time: at n = 7, 21,090 of 1,866,256. They include the
-first graph of every class, each with its index in the labeled stream.
+graph of some class. So the sweep computes the invariants once per
+class, on the class's first graph in stream order, and checks the
+pointwise laws there too, so a law failure is reported at the first
+graph of its class. The builtin enumeration yields exactly those first
+graphs (853 of 1,866,256 at n = 7), each with its index in the labeled
+stream. A graph6 stream yields every graph, and the sweep folds it by
+fold class: the isomorphism class for n <= 7, a degree-sorted
+relabeling key above 7.
 """
 
 from dataclasses import dataclass, field
@@ -92,10 +91,9 @@ class GraphSource:
         does a stream with no graph at all.
 
         The enumeration stands for the stream ``enumerate_connected(n)``
-        but yields only a subsequence of it: the graphs that no earlier
-        graph is shown isomorphic to. That holds the first graph of
-        every isomorphism class, and it ends with the stream's last
-        graph, K_n, so the last index + 1 is the labeled total.
+        but yields only the first graph of each isomorphism class. The
+        last of them is the stream's last graph, K_n, so the last index
+        + 1 is the labeled total.
         """
         if self.kind == "enumeration":
             yield from _class_firsts(self.n)
@@ -163,21 +161,36 @@ def enumerate_connected(n):
 
 
 def _class_firsts(n):
-    """Yield ``(index, graph)`` for the graphs of
-    ``enumerate_connected(n)`` that no earlier graph is shown isomorphic
-    to, with their positions in it. They include the first graph of
-    every isomorphism class, and the last one is K_n, the stream's last
+    """Yield ``(index, graph)`` for the first graph of each isomorphism
+    class of ``enumerate_connected(n)``, in stream order, with its
+    position in that stream. The last one is K_n, the stream's last
     graph and the only graph of its class.
 
     A graph is (s, na, nb): s on the vertices 0..a-1 (a = n - 2), na
     the neighbourhood of vertex a and nb that of b = n - 1, with a-b bit
     hb. Relabeling s by its canonical labeling pi_s, fixing a and b,
-    gives (s*, pi_s(na), pi_s(nb)), so graphs with equal lifted keys (hb,
+    gives (s*, pi_s(na), pi_s(nb)), so graphs with equal keys (hb,
     class of s, pi_s(na), pi_s(nb)) are isomorphic, and so are graphs
-    whose key pairs differ by an automorphism of s*. Each block keys its
-    graphs by maps over per-s tables and tests the keys against a byte
-    per key; a graph with an unseen key is built, yielded, and marks
-    the keys of its orbit under Aut(s*). No table outlives the call.
+    whose keys differ by an automorphism of s*. The key of a graph G
+    rooted at an ordered pair (p, q) of its vertices is the key of G
+    relabeled so that p and q become a and b and the other vertices
+    keep their order; a graph's own key is its key rooted at (a, b).
+
+    A graph is yielded iff its own key is not marked, and when G is
+    yielded, the Aut(s*)-orbit of its key rooted at every (p, q) is
+    marked. This yields exactly the first graph of each class. If a
+    later graph H is isomorphic to G by phi, then phi sends H's (a, b)
+    to some (p, q) of G and H - {a, b} onto G - {p, q}, so H's own key
+    and G's key rooted at (p, q) differ by an automorphism of s*: H's
+    key is marked and H is skipped. A key is marked only by a graph
+    yielded earlier, which is isomorphic to every graph with a key in
+    that orbit, so no first graph of a class is skipped.
+
+    Each block keys its graphs by maps over per-s tables and tests the
+    keys against a byte per key; a graph with an unmarked key is
+    rechecked (an earlier graph of its block may have marked it), then
+    built, marks its class's keys and is yielded. No table outlives
+    the call.
     """
     _check_builtin(n)
     a = n - 2
@@ -206,6 +219,31 @@ def _class_firsts(n):
     shifted = [x << a for x in range(1 << a)]
     na_part = [[shifted[x] for x in col] for col in moved]
     seen = bytearray(2 * len(forms) * width)
+    # per root pair p < q: the row map that sends the other vertices, in
+    # order, to 0..a-1 (and p, q to a, b), and for each j in 1..a-1 the
+    # j-th other vertex, the mask of 0..j-1 and the place of its bits in
+    # the column-order edge mask of G - {p, q}, which indexes small
+    roots = []
+    for q in range(1, n):
+        for p in range(q):
+            others = [v for v in range(n) if v != p and v != q]
+            to = _inverse(others + [p, q])
+            roots.append((p, q, _mask_map(to), [
+                (v, (1 << j) - 1, j * (j - 1) // 2)
+                for j, v in enumerate(others) if j]))
+
+    def mark(adj):
+        """Mark the Aut(s*)-orbit of adj's key rooted at every (p, q)."""
+        for p, q, to, gather in roots:
+            si = sum((to[adj[v]] & below) << place
+                     for v, below, place in gather)
+            sid = sids[si]
+            base = head[(adj[p] >> q & 1) * len(forms) + sid]
+            x, y = moved[to[adj[p]] & low][si], moved[to[adj[q]] & low][si]
+            for m in autos[sid]:
+                seen[base | m[x] << a | m[y]] = 1  # rooted at (p, q)
+                seen[base | m[y] << a | m[x]] = 1  # rooted at (q, p)
+
     index = 0
     for na, nb, connected in _blocks(n, comps):
         # nb >> a is the a-b bit hb
@@ -217,15 +255,10 @@ def _class_firsts(n):
             extra, tail = _lift(n, na, nb)
             graphs = list(compress(small, connected))
             while i >= 0:
-                key = keys[i]
-                if not seen[key]:
-                    # mark the key's orbit under Aut(s*): those graphs
-                    # are isomorphic to this one
-                    base, x, y = key & -width, key >> a & low, key & low
-                    for m in autos[key // width % len(forms)]:
-                        seen[base | m[x] << a | m[y]] = 1
-                    yield index + i, Graph(
-                        n, (*map(or_, graphs[i], extra), *tail))
+                if not seen[keys[i]]:  # an earlier graph may have marked it
+                    adj = (*map(or_, graphs[i], extra), *tail)
+                    mark(adj)
+                    yield index + i, Graph(n, adj)
                 i = flags.find(0, i + 1)
         index += len(keys)
 
@@ -369,34 +402,37 @@ class SweepResult:
 def sweep(source, pairs=THEOREM_PAIRS):
     """One pass over a graph source, reducing the requested extremal
     differences (first maximizer in stream order wins) and collecting
-    pointwise law failures, once per fold class.
+    pointwise law failures, once per class.
 
-    The fold class of a graph is its isomorphism class for n <= 7
-    (``canon.canonical_form``) and its degree-sorted key above 7, where
-    the canonical search, with no orbit pruning, would cost K_n n!
-    leaves. The invariants are computed on the first graph of each fold
-    class; later graphs of the class repeat its values, so only first
-    graphs enter the reduction, and a law failure is reported at the
-    first graph of each failing fold class. The enumeration source
-    skips graphs it can show are repeats, which changes none of this,
-    and ``graphs_scanned`` still counts the labeled stream.
+    The builtin enumeration yields one graph per isomorphism class, and
+    the sweep takes each. A graph6 stream yields every graph, so the
+    sweep folds it: the fold class of a graph is its isomorphism class
+    for n <= 7 (``canon.canonical_form``) and its degree-sorted key
+    above 7, where the canonical search, with no orbit pruning, would
+    cost K_n n! leaves. Either way the invariants are computed on the
+    first graph of each class; later graphs of the class repeat its
+    values, so only first graphs enter the reduction, and a law failure
+    is reported at the first graph of each failing class.
+    ``graphs_scanned`` counts the labeled stream.
     """
     pairs = tuple(pairs)
     check_tags(tag for pair in pairs for tag in pair)
+    fold = source.kind == "graph6"
     keys = set()  # degree-sorted keys seen so far
     classes = set()  # canonical forms seen so far (n <= 7)
     best = dict.fromkeys(pairs)  # (diff, first graph with it)
     failures = []
     for index, g in source.graphs():
-        key = _degree_sorted_key(g.n, g.adj)
-        if key in keys:
-            continue
-        keys.add(key)
-        if g.n <= MAX_BUILTIN_N:
-            form = canonical_form(g.n, g.adj)
-            if form in classes:
+        if fold:
+            key = _degree_sorted_key(g.n, g.adj)
+            if key in keys:
                 continue
-            classes.add(form)
+            keys.add(key)
+            if g.n <= MAX_BUILTIN_N:
+                form = canonical_form(g.n, g.adj)
+                if form in classes:
+                    continue
+                classes.add(form)
         values, violations = _class_stats(g)
         for p in pairs:
             diff = values[p[0]] - values[p[1]]

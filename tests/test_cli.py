@@ -199,6 +199,16 @@ class TestExtremal:
         assert out == ""
         assert "empty range '5..3'" in err
 
+    # int() reads the first four as 3..10, 3..4, 3..4 and 3
+    @pytest.mark.parametrize("text", [
+        "3..1_0", "\uff13..\uff14", "+3..4", "\u0663", "3..-4", " 3..4",
+        "3..4..5", ".."])
+    def test_bad_range(self, capsys, text):
+        code, out, err = run(capsys, "extremal", "psi", "beta", text)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: bad range {text!r}, expected N or N..M\n"
+
     @pytest.mark.parametrize("argv", [
         ("1..3",), ("0..3", "--stream", "0:x.g6")])
     def test_order_below_2(self, capsys, argv):
@@ -299,7 +309,8 @@ class TestVerify:
                            f"4:{p}")
         assert code == 0
 
-    @pytest.mark.parametrize("item", ["f.g6", "x:f.g6", ":f.g6"])
+    @pytest.mark.parametrize("item", [
+        "f.g6", "x:f.g6", ":f.g6", "\u0663:f.g6", "\uff14:f.g6", "+4:f.g6"])
     def test_bad_stream_argument(self, capsys, item):
         code, out, err = run(capsys, "verify", "3..4", "--stream", item)
         assert code == 1

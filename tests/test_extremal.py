@@ -66,7 +66,7 @@ def _slot_unpack_enumeration(n):
 
 
 # connected graphs up to isomorphism (OEIS A001349)
-A001349 = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+A001349 = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 # labeled connected graphs (OEIS A001187)
 A001187 = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
 
@@ -328,8 +328,8 @@ class TestSweepLaws:
 
 
 class TestEnumerationSource:
-    """The builtin source skips graphs it can show are repeats; the
-    sweep must not see the difference."""
+    """The builtin source yields only the first graph of each class;
+    the sweep must not see the difference."""
 
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("laws", ["real", "paths", "all"])
@@ -342,22 +342,61 @@ class TestEnumerationSource:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_indices_are_stream_positions(self, n):
-        graphs = list(enumerate_connected(n))
         yielded = list(GraphSource.enumeration(n).graphs())
-        assert all(graphs[index] == g for index, g in yielded)
-        indices = [index for index, _ in yielded]
-        assert indices == sorted(set(indices))
-        assert indices[-1] == len(graphs) - 1
-        assert {i for i, _, _ in _class_firsts_naive(n)} <= set(indices)
+        assert yielded == [(i, g) for i, g, _ in _class_firsts_naive(n)]
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_sweep_does_not_fold(self, monkeypatch, n):
+        def no_fold(*args):
+            raise AssertionError("builtin source folded")
+
+        monkeypatch.setattr(extremal, "_degree_sorted_key", no_fold)
+        monkeypatch.setattr(extremal, "canonical_form", no_fold)
+        result = sweep(GraphSource.enumeration(n), THEOREM_PAIRS)
+        assert result == _naive_sweep(n, THEOREM_PAIRS)
+
+    def test_stream_is_folded(self, monkeypatch, tmp_path):
+        # every labeled graph of order 5: one solve and, with paths
+        # flagged, one law failure per class, as from the builtin source
+        p = tmp_path / "n5.g6"
+        _write_stream(p, enumerate_connected(5))
+        monkeypatch.setattr(extremal, "_law_violations", _flag_paths)
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return invariant_values(g)
+
+        monkeypatch.setattr(extremal, "invariant_values", counted)
+        stream = sweep(GraphSource.graph6_file(str(p)), THEOREM_PAIRS)
+        assert len(calls) == A001349[5]
+        assert stream == sweep(GraphSource.enumeration(5), THEOREM_PAIRS)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_graphs_scanned_is_labeled_count(self, n):
         result = sweep(GraphSource.enumeration(n), pairs=())
         assert result.graphs_scanned == A001187[n]
 
-    def test_order_7_matches_reference(self):
+    def test_order_7_matches_reference(self, monkeypatch):
         reference = json.loads(REFERENCE.read_text())["reports"]["7"]
+        yielded, calls = [], []
+        class_firsts = extremal._class_firsts
+
+        def recorded(n):
+            for index, g in class_firsts(n):
+                yielded.append(g)
+                yield index, g
+
+        def counted(g):
+            calls.append(g)
+            return invariant_values(g)
+
+        monkeypatch.setattr(extremal, "_class_firsts", recorded)
+        monkeypatch.setattr(extremal, "invariant_values", counted)
         result = sweep(GraphSource.enumeration(7), THEOREM_PAIRS)
+        assert len(yielded) == A001349[7]
+        assert len({canonical_form(7, g.adj) for g in yielded}) == A001349[7]
+        assert calls == yielded
         assert result.graphs_scanned == A001187[7]
         assert result.law_failures == []
         got = {f"{a}-{b}": {"max_diff": r.max_diff,

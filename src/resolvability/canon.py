@@ -1,27 +1,23 @@
 """Canonical forms of small graphs, by partition refinement and
 individualization (after McKay & Piperno, J. Symb. Comput. 60 (2014)).
 
-``canonical_form(n, adj)`` starts from the vertices grouped by degree,
-refines that ordered partition until it is equitable (every vertex of a
-cell has the same number of neighbours in each cell), and then branches
-on each vertex of the first cell with more than one vertex in turn,
-individualizing it and refining again. Every discrete partition the
-search reaches is a relabeling of the graph; the form is the smallest
-``relabeled_mask`` over them. Each step commutes with relabeling, so
-isomorphic graphs reach the same set of relabeled graphs: equal forms
-mean isomorphic graphs and the converse holds by construction.
-``canonical_labeling`` also returns every leaf order that reaches the
-form; any two differ by an automorphism, so they give the whole group.
+``canonical_form(n, adj)`` refines the one-cell partition, first by
+degree, until it is equitable (every vertex of a cell has the same
+number of neighbours in each cell), and then branches on each vertex of
+the first cell with more than one vertex in turn, individualizing it
+and refining again. Every discrete partition the search reaches is a
+relabeling of the graph; the form is the smallest ``relabeled_mask``
+over them. Each step commutes with relabeling, so the trees of
+isomorphic graphs hold the same leaf masks: equal forms mean isomorphic
+graphs and the converse holds by construction.
 
-There is no orbit pruning, so a graph with many automorphisms visits
-many leaves (K_n visits n!). That keeps the search to small orders. The
-builtin enumeration of order n calls ``canonical_labeling`` once per
-graph on n - 2 vertices (1,024 at n = 7) and the sweep of it calls
-neither function; ``canonical_form`` folds graph6 streams of order
-<= 7.
+Two leaves with equal masks differ by an automorphism. The search skips
+each child that a found automorphism maps onto an explored sibling,
+whose subtree holds the same masks, so K_n visits n(n-1)/2 + 1 leaves. ``canonical_labeling`` also
+returns every order giving the form, one per automorphism.
 """
 
-from .graph import iter_bits
+from .graph import iter_bits, mask_of
 
 
 def relabeled_mask(n, adj, order):
@@ -62,39 +58,70 @@ def canonical_form(n, adj):
     """Smallest relabeled adjacency mask over the leaves of the
     individualization-refinement search; equal for two graphs on n
     vertices iff they are isomorphic."""
-    return min(form for form, _ in _leaves(n, adj))
+    return _search(n, adj)[0]
 
 
 def canonical_labeling(n, adj):
-    """``(form, orders)``: the canonical form and every leaf order that
-    gives it; relabeling vertex ``order[j]`` to j maps the graph onto
-    its form. Two such orders differ by an automorphism, and as the
-    search visits every leaf, each automorphism arises so."""
-    best, orders = None, []
-    for form, order in _leaves(n, adj):
-        if best is None or form < best:
-            best, orders = form, [order]
-        elif form == best:
-            orders.append(order)
-    return best, orders
+    """``(form, orders)``: the canonical form and every order that gives
+    it; relabeling vertex ``order[j]`` to j maps the graph onto its
+    form. The orders are the images of the search's best leaf, first,
+    under the group its automorphisms generate."""
+    form, best, gens = _search(n, adj)
+    group, todo = {tuple(best)}, [best]
+    for order in todo:  # todo grows as the closure finds new orders
+        for image in {tuple([g[v] for v in order]) for g in gens} - group:
+            group.add(image)
+            todo.append(list(image))
+    return form, todo
 
 
-def _leaves(n, adj):
-    """Yield ``(relabeled mask, order)`` for every leaf of the search."""
-    by_degree = {}
-    for v, a in enumerate(adj):
-        d = a.bit_count()
-        by_degree[d] = by_degree.get(d, 0) | 1 << v
-    stack = [_refine(adj, [by_degree[d] for d in sorted(by_degree)])]
-    while stack:
-        cells = stack.pop()
+def _search(n, adj):
+    """``(form, order, automorphisms)``: the least leaf mask, the first
+    leaf order with it, and automorphisms (lists v -> image).
+
+    A leaf with the best mask so far gives ``order[j] -> best_order[j]``.
+    A child is skipped if the found automorphisms that fix the vertices
+    individualized above it map an explored sibling onto it. They fix
+    the node's partition, as each step commutes with relabeling, so
+    they map that sibling's subtree onto the child's, masks unchanged.
+    The best leaves are the images of the first, b, one per
+    automorphism. By induction on the search order each is visited,
+    giving a found map onto b, or is a found image of a visited one, so
+    the automorphisms found generate the group.
+    """
+    best, autos = None, []
+
+    def visit(cells, fixed):
+        nonlocal best
         target = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
         if target is None:
             order = [c.bit_length() - 1 for c in cells]
-            yield relabeled_mask(n, adj, order), order
-            continue
+            form = relabeled_mask(n, adj, order)
+            if best is None or form < best[0]:
+                best = form, order
+            elif form == best[0]:
+                autos.append([w for _, w in sorted(zip(order, best[1]))])
+            return
         cell = cells[target]
         head, tail = cells[:target], cells[target + 1:]
+        explored, gens, known = 0, [], 0  # gens: autos[:known] fixing fixed
         for v in iter_bits(cell):
+            gens += [g for g in autos[known:] if all(g[u] == u for u in fixed)]
+            known = len(autos)
+            if _orbit(explored, gens) >> v & 1:
+                continue
             bit = 1 << v
-            stack.append(_refine(adj, head + [bit, cell & ~bit] + tail))
+            visit(_refine(adj, head + [bit, cell & ~bit] + tail), fixed + [v])
+            explored |= bit
+
+    visit(_refine(adj, [(1 << n) - 1] if n else []), [])
+    return (*best, autos)
+
+
+def _orbit(mask, gens):
+    """The images of ``mask``'s vertices under products of ``gens``."""
+    todo = mask
+    while todo:
+        todo = mask_of(g[v] for v in iter_bits(todo) for g in gens) & ~mask
+        mask |= todo
+    return mask

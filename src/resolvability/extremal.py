@@ -18,15 +18,14 @@ pointwise laws there too, so a law failure is reported at the first
 graph of its class. The builtin enumeration yields exactly those first
 graphs (853 of 1,866,256 at n = 7), each with its index in the labeled
 stream. A graph6 stream yields every graph, and the sweep folds it by
-fold class: the isomorphism class for n <= 7, a degree-sorted
-relabeling key above 7.
+isomorphism class (``canon.canonical_form``) at every order.
 """
 
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import add, or_
 
-from .canon import canonical_form, canonical_labeling, relabeled_mask
+from .canon import canonical_form, canonical_labeling
 from .graph import (
     Graph,
     GraphError,
@@ -84,11 +83,11 @@ class GraphSource:
         """Yield ``(index, graph)`` pairs in stream order, where index is
         the graph's position in the labeled stream.
 
-        A graph6 stream yields every graph. It must hold graphs of one
-        order (``n`` if given, else the first graph's) and only
-        connected graphs; the first line that breaks this or is not
-        graph6 raises GraphError naming the file and the line, and so
-        does a stream with no graph at all.
+        A graph6 stream yields every graph; ``sweep`` folds it by class.
+        It must hold graphs of one order (``n`` if given, else the first
+        graph's) and only connected graphs; the first line that breaks
+        this or is not graph6 raises GraphError naming the file and the
+        line, and so does a stream with no graph at all.
 
         The enumeration stands for the stream ``enumerate_connected(n)``
         but yields only the first graph of each isomorphism class. The
@@ -345,16 +344,6 @@ def _join(comps, nv, v):
     return out
 
 
-def _degree_sorted_key(n, adj):
-    """Adjacency matrix after relabeling vertices by (degree, index).
-
-    Key equality implies isomorphism (both graphs relabel to the same
-    labeled graph), which makes it a sound cache key.
-    """
-    return relabeled_mask(
-        n, adj, sorted(range(n), key=list(map(int.bit_count, adj)).__getitem__))
-
-
 def _law_violations(n, values, maximal_neighbour, delta, is_path):
     """Pointwise statements that must hold on every connected graph:
     the mhs chain, the maximal-neighbour biconditionals, the log bound
@@ -406,33 +395,25 @@ def sweep(source, pairs=THEOREM_PAIRS):
 
     The builtin enumeration yields one graph per isomorphism class, and
     the sweep takes each. A graph6 stream yields every graph, so the
-    sweep folds it: the fold class of a graph is its isomorphism class
-    for n <= 7 (``canon.canonical_form``) and its degree-sorted key
-    above 7, where the canonical search, with no orbit pruning, would
-    cost K_n n! leaves. Either way the invariants are computed on the
-    first graph of each class; later graphs of the class repeat its
-    values, so only first graphs enter the reduction, and a law failure
-    is reported at the first graph of each failing class.
+    sweep folds it, at every order, by isomorphism class
+    (``canon.canonical_form``). Either way the invariants are computed
+    on the first graph of each class; later graphs of the class repeat
+    its values, so only first graphs enter the reduction, and a law
+    failure is reported at the first graph of each failing class.
     ``graphs_scanned`` counts the labeled stream.
     """
     pairs = tuple(pairs)
     check_tags(tag for pair in pairs for tag in pair)
     fold = source.kind == "graph6"
-    keys = set()  # degree-sorted keys seen so far
-    classes = set()  # canonical forms seen so far (n <= 7)
+    classes = set()  # canonical forms seen so far
     best = dict.fromkeys(pairs)  # (diff, first graph with it)
     failures = []
     for index, g in source.graphs():
         if fold:
-            key = _degree_sorted_key(g.n, g.adj)
-            if key in keys:
+            form = canonical_form(g.n, g.adj)
+            if form in classes:
                 continue
-            keys.add(key)
-            if g.n <= MAX_BUILTIN_N:
-                form = canonical_form(g.n, g.adj)
-                if form in classes:
-                    continue
-                classes.add(form)
+            classes.add(form)
         values, violations = _class_stats(g)
         for p in pairs:
             diff = values[p[0]] - values[p[1]]

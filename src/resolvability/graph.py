@@ -288,21 +288,25 @@ def generate(spec):
 def parse_edge_list_text(text):
     """Parse the edge-list text format: first line "n m", then m lines
     "u v" with 1-based vertex labels."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines:
         raise GraphError("empty edge-list input")
     try:
-        n, m = map(int, lines[0].split())
+        n, m = map(int, lines[0][1].split())
     except ValueError:
-        raise GraphError(f"bad header line {lines[0]!r}, expected 'n m'") from None
+        raise GraphError(f"bad header line {lines[0][1]!r}, expected 'n m'") from None
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
-    for ln in lines[1:]:
+    for no, ln in lines[1:]:
         try:
             u, v = map(int, ln.split())
         except ValueError:
-            raise GraphError(f"bad edge line {ln!r}, expected 'u v'") from None
+            raise GraphError(f"line {no}: bad edge line {ln!r}, expected 'u v'") from None
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise GraphError(f"line {no}: edge ({u}, {v}) out of range 1..{n}")
+        if u == v:
+            raise GraphError(f"line {no}: self-loop at vertex {u} is not allowed")
         edges.append((u - 1, v - 1))
     return from_edge_list(n, edges)
 

@@ -100,31 +100,19 @@ def verify_order(source):
 
 
 def _family_expectations(n):
-    """(name, graph, expected values dict) triples for order n."""
+    """(name, graph, expected values dict) triples for order n: the
+    ``family_formula`` values of each family from its least order on,
+    the bipartite one as K_{2,n-2}."""
     out = []
-    if n >= 2:
-        out.append(("path", gr.path(n), {
-            "mhs_strict": 2, "mhs_weak": 2, "psi": 2,
-            "beta": 1, "beta_E": 1, "beta_M": 2,
-        }))
-    if n >= 3:
-        out.append(("star", gr.star(n), {
-            "mhs_strict": n - 1, "mhs_weak": n - 1, "psi": n - 1,
-        }))
-        out.append(("complete", gr.complete(n), {
-            "mhs_strict": n, "mhs_weak": 2, "psi": max(2, n - 1),
-            "beta": n - 1, "beta_E": n - 1,
-        }))
-        out.append(("cycle", gr.cycle(n), {
-            "psi": 2 if n % 2 else 3, "beta": 2, "beta_E": 2,
-        }))
-    if n >= 4:
-        out.append(("K_{2,%d}" % (n - 2), gr.complete_bipartite(2, n - 2), {
-            "mhs_strict": 2, "mhs_weak": 2, "beta_M": n - 1,
-        }))
-        out.append(("tprime", gr.t_prime_tree(n), {
-            "psi": n // 2 + 1, "beta_E": 2,
-        }))
+    for family, least in (("path", 2), ("star", 3), ("complete", 3),
+                          ("cycle", 3), ("bipartite", 4), ("tprime", 4)):
+        if n >= least:
+            params = (2, n - 2) if family == "bipartite" else (n,)
+            expected = family_formula(family, params)
+            if family == "complete":
+                del expected["beta_M"]  # not in perfbench/data/verify.json
+            name = "K_{2,%d}" % (n - 2) if family == "bipartite" else family
+            out.append((name, gr.GENERATORS[family][0](*params), expected))
     return out
 
 

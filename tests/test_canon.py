@@ -3,9 +3,20 @@ from itertools import compress, permutations
 
 import pytest
 
-from resolvability.canon import canonical_form, canonical_labeling, relabeled_mask
-from resolvability.extremal import enumerate_connected
-from resolvability.graph import from_edge_list
+from resolvability.canon import (
+    _refine,
+    canonical_form,
+    canonical_labeling,
+    relabeled_mask,
+)
+from resolvability.extremal import GraphSource, enumerate_connected
+from resolvability.graph import (
+    complete,
+    complete_bipartite,
+    cycle,
+    from_edge_list,
+    iter_bits,
+)
 
 from conftest import random_connected_graph
 
@@ -20,6 +31,68 @@ def _brute_form(g):
         tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in g.edges()))
         for p in permutations(range(g.n))
     )
+
+
+def _unpruned_leaves(n, adj):
+    """Yield ``(relabeled mask, order)`` for every leaf of the search
+    without automorphism pruning (K_n visits n! leaves)."""
+    by_degree = {}
+    for v, a in enumerate(adj):
+        d = a.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << v
+    stack = [_refine(adj, [by_degree[d] for d in sorted(by_degree)])]
+    while stack:
+        cells = stack.pop()
+        target = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+        if target is None:
+            order = [c.bit_length() - 1 for c in cells]
+            yield relabeled_mask(n, adj, order), order
+            continue
+        cell = cells[target]
+        head, tail = cells[:target], cells[target + 1:]
+        for v in iter_bits(cell):
+            bit = 1 << v
+            stack.append(_refine(adj, head + [bit, cell & ~bit] + tail))
+
+
+def _oracle_labeling(n, adj):
+    """``(form, number of leaves with it)`` by the unpruned search; the
+    number is |Aut|, as two leaves with the form differ by exactly one
+    automorphism."""
+    masks = [form for form, _ in _unpruned_leaves(n, adj)]
+    return min(masks), masks.count(min(masks))
+
+
+def _cube():
+    return from_edge_list(8, [(u, u | 1 << b) for u in range(8)
+                              for b in range(3) if not u >> b & 1])
+
+
+# |Aut|: K_8 8!, K_{4,4} 2 * 4! * 4!, C_8 16, Q_3 48
+_NAMED = ((complete(8), 40320), (complete_bipartite(4, 4), 1152),
+          (cycle(8), 16), (_cube(), 48))
+
+
+def test_pruned_search_matches_unpruned_oracle():
+    # every builtin class with n <= 7, then K_8, K_{4,4}, C_8 and Q_3
+    cases = [(g, None) for n in range(2, 8)
+             for _, g in GraphSource.enumeration(n).graphs()]
+    assert len(cases) == 1 + 2 + 6 + 21 + 112 + 853
+    for g, autos in cases + list(_NAMED):
+        form, orders = canonical_labeling(g.n, g.adj)
+        assert (form, len(orders)) == _oracle_labeling(g.n, g.adj)
+        assert autos in (None, len(orders))
+        assert canonical_form(g.n, g.adj) == form
+        assert all(relabeled_mask(g.n, g.adj, order) == form
+                   for order in orders)
+        assert len(set(map(tuple, orders))) == len(orders)
+
+
+def test_pruning_reaches_k16():
+    # unpruned, K_16 has 16! leaves; pruned, 121
+    g = complete(16)
+    assert canonical_form(16, g.adj) == canonical_form(
+        16, _relabel(g, list(reversed(range(16)))).adj)
 
 
 def test_invariant_under_relabeling():

@@ -81,6 +81,19 @@ class TestCompute:
         assert code == 1
         assert "disconnected" in err
 
+    @pytest.mark.parametrize("line, message", [
+        ("0 3", "line 2: edge (0, 3) out of range 1..3"),
+        ("3 3", "line 2: self-loop at vertex 3"),
+        ("2 4", "line 2: edge (2, 4) out of range 1..3"),
+    ])
+    def test_edge_list_errors_are_one_based(self, capsys, tmp_path, line,
+                                            message):
+        p = tmp_path / "bad.txt"
+        p.write_text(f"3 1\n{line}\n")
+        code, _, err = run(capsys, "compute", "--edges", str(p))
+        assert code == 1
+        assert message in err
+
     def test_parse_failure(self, capsys):
         code, _, err = run(capsys, "compute", "--graph6", "~zz")
         assert code == 1

@@ -14,7 +14,7 @@ from resolvability import (
     write_graph6,
 )
 from resolvability import extremal
-from resolvability.canon import canonical_form
+from resolvability.canon import canonical_form, relabeled_mask
 from resolvability.extremal import (
     THEOREM_PAIRS,
     ExtremalReport,
@@ -350,7 +350,6 @@ class TestEnumerationSource:
         def no_fold(*args):
             raise AssertionError("builtin source folded")
 
-        monkeypatch.setattr(extremal, "_degree_sorted_key", no_fold)
         monkeypatch.setattr(extremal, "canonical_form", no_fold)
         result = sweep(GraphSource.enumeration(n), THEOREM_PAIRS)
         assert result == _naive_sweep(n, THEOREM_PAIRS)
@@ -371,6 +370,32 @@ class TestEnumerationSource:
         stream = sweep(GraphSource.graph6_file(str(p)), THEOREM_PAIRS)
         assert len(calls) == A001349[5]
         assert stream == sweep(GraphSource.enumeration(5), THEOREM_PAIRS)
+
+    def test_stream_above_7_is_folded_by_class(self, monkeypatch, tmp_path):
+        # two labelings of P_8 whose degree-sorted relabelings differ,
+        # with a star between them: one solve and one law failure per class
+        p8 = from_edge_list(8, [(v, v + 1) for v in range(7)])
+        walk = [3, 0, 7, 5, 1, 6, 2, 4]
+        other = from_edge_list(8, list(zip(walk, walk[1:])))
+        star = from_edge_list(8, [(0, v) for v in range(1, 8)])
+        by_degree = [sorted(range(8), key=lambda v: (g.degrees()[v], v))
+                     for g in (p8, other)]
+        assert (relabeled_mask(8, p8.adj, by_degree[0])
+                != relabeled_mask(8, other.adj, by_degree[1]))
+        p = tmp_path / "n8.g6"
+        _write_stream(p, [p8, star, other])
+        monkeypatch.setattr(extremal, "_law_violations", _flag_paths)
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return invariant_values(g)
+
+        monkeypatch.setattr(extremal, "invariant_values", counted)
+        result = sweep(GraphSource.graph6_file(str(p)), THEOREM_PAIRS)
+        assert calls == [p8, star]
+        assert result.law_failures == [(0, write_graph6(p8), "flagged path")]
+        assert result.graphs_scanned == 3
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_graphs_scanned_is_labeled_count(self, n):

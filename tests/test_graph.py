@@ -193,3 +193,22 @@ class TestEdgeListText:
     def test_edge_count_mismatch(self):
         with pytest.raises(GraphError):
             parse_edge_list_text("3 2\n1 2\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 1\n0 3\n", "line 2: edge (0, 3) out of range 1..3"),
+        ("3 1\n3 3\n", "line 2: self-loop at vertex 3 is not allowed"),
+        ("3 2\n1 2\n\n2 4\n", "line 4: edge (2, 4) out of range 1..3"),
+        ("3 1\n1 x\n", "line 2: bad edge line '1 x', expected 'u v'"),
+    ])
+    def test_edge_line_errors_name_line_and_labels(self, text, message):
+        # labels as written (1-based) and the line's number in the text,
+        # blank lines counted
+        with pytest.raises(GraphError) as exc:
+            parse_edge_list_text(text)
+        assert str(exc.value) == message
+
+    def test_zero_based_checks_stay(self):
+        with pytest.raises(GraphError, match=r"edge \(0, 3\) out of range"):
+            from_edge_list(3, [(0, 3)])
+        with pytest.raises(GraphError, match="self-loop at vertex 2"):
+            from_edge_list(3, [(2, 2)])

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from resolvability import GraphSource, verify_theorems
@@ -32,6 +35,18 @@ def test_verify_order_4_dedge_bounds():
 
 def test_family_checks_pass():
     assert all(c.passed for c in verify_families(2, 7))
+
+
+def test_family_rows_match_reference():
+    # the closed forms come from family_formula, less beta_M(K_n); the
+    # rows of verify 3..7 are pinned by the benchmark's reference
+    reference = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify.json"
+    rows = json.loads(reference.read_text())["full"]["rows"]
+    want = [r for r in rows if r["check"].startswith("family-")]
+    got = [{"check": c.name, "n": c.n, "statement": c.statement,
+            "status": "PASS" if c.passed else "FAIL", "detail": c.detail}
+           for c in verify_families(3, 7)]
+    assert got == want
 
 
 def test_tprime_construction():

@@ -5,7 +5,8 @@ dimension), beta_M (mixed metric dimension), psi (doubly metric
 dimension), mhs_strict (minimum hitting set of the strict W-set
 family), mhs_weak (minimum hitting set of the complement family, a
 lower bound for psi). All computation is exact integer arithmetic on
-desk-scale graphs (n <= 62 for I/O, exhaustive enumeration to n = 7).
+desk-scale graphs (n <= 62 for I/O, exhaustive enumeration of the
+isomorphism classes to n = 8).
 """
 
 from .graph import (
@@ -58,7 +59,6 @@ from .invariants import (
 from .extremal import (
     ExtremalReport,
     GraphSource,
-    enumerate_connected,
     extremal_difference,
     sweep,
 )

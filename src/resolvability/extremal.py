@@ -1,42 +1,42 @@
-"""Exhaustive enumeration and extremal-difference verification.
+"""Exhaustive class sources and extremal-difference verification.
 
-``enumerate_connected`` walks every labeled connected simple graph of
-order n <= 7 in edge-mask order. It runs in blocks: for each
-neighbourhood of the last two vertices, over the graphs on the other
-vertices, keeping those whose every component the neighbourhoods meet.
-``sources`` serves each order n >= 2 of a sweep from a named graph6
-stream (one graph per line; required above 7) or else the builtin
-enumeration; a stream's exhaustiveness is the caller's claim, not ours.
+``GraphSource.enumeration(n)`` yields the connected graphs of order
+2 <= n <= 8 up to isomorphism, one per class: the graph of the class's
+canonical form (``canon.canonical_form``), in increasing form order.
+That graph is the class's first graph in the labeled stream, every
+labeled connected graph of order n by increasing edge mask. The classes
+of order n come from those of order n - 1 by adding one vertex (after
+McKay, J. Algorithms 26 (1998)). ``sources`` serves each order n >= 2 of
+a sweep from a named graph6 stream (one graph per line; required above
+8) or else the builtin enumeration; a stream's exhaustiveness is the
+caller's claim, not ours.
 
 ``sweep`` is one loop over ``GraphSource.graphs()`` for either kind of
-source. Because all six invariants are functions of the unlabeled
-graph, the maximum of a difference over the labeled stream equals the
-maximum over isomorphism classes, and the first maximizer is the first
-graph of some class. So the sweep computes the invariants once per
-class, on the class's first graph in stream order, and checks the
-pointwise laws there too, so a law failure is reported at the first
-graph of its class. The builtin enumeration yields exactly those first
-graphs (853 of 1,866,256 at n = 7), each with its index in the labeled
-stream. A graph6 stream yields every graph, and the sweep folds it by
-isomorphism class (``canon.canonical_form``) at every order.
+source. All six invariants are functions of the unlabeled graph, so a
+difference's maximum over the labeled stream is its maximum over the
+classes, first reached at the first graph of some class. So the sweep
+computes the invariants and checks the pointwise laws once per class,
+on that graph; it folds a graph6 stream, which yields every graph, by
+``canon.canonical_form``.
 """
 
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import add, or_
+from math import comb
 
-from .canon import canonical_form, canonical_labeling
+from .canon import _inverse, _search, canonical_form
 from .graph import (
     Graph,
     GraphError,
     is_connected,
     is_maximal_neighbour_graph,
+    iter_bits,
+    mask_of,
     max_degree,
 )
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .invariants import check_tags, invariant_values
 
-MAX_BUILTIN_N = 7
+MAX_BUILTIN_N = 8
 
 # Difference pairs appearing in the verification suite.
 THEOREM_PAIRS = (
@@ -63,8 +63,8 @@ class ExtremalReport:
 
 @dataclass
 class GraphSource:
-    """Where graphs come from: builtin labeled enumeration (n <= 7) or a
-    graph6 stream file."""
+    """Where graphs come from: the builtin class enumeration (n <= 8) or
+    a graph6 stream file."""
 
     kind: str  # "enumeration" | "graph6"
     n: int = None
@@ -72,7 +72,9 @@ class GraphSource:
 
     @classmethod
     def enumeration(cls, n):
-        _check_builtin(n)
+        if not 2 <= n <= MAX_BUILTIN_N:
+            raise GraphError(
+                f"builtin enumeration supports 2 <= n <= {MAX_BUILTIN_N}")
         return cls("enumeration", n=n)
 
     @classmethod
@@ -80,25 +82,23 @@ class GraphSource:
         return cls("graph6", n=n, path=path)
 
     def graphs(self):
-        """Yield ``(index, graph)`` pairs in stream order, where index is
-        the graph's position in the labeled stream.
+        """Yield the source's graphs. The enumeration yields one graph
+        per isomorphism class, the graph of its canonical form, in
+        increasing form order: each class's first labeled graph, in
+        stream order.
 
         A graph6 stream yields every graph; ``sweep`` folds it by class.
         It must hold graphs of one order (``n`` if given, else the first
         graph's) and only connected graphs; the first line that breaks
         this or is not graph6 raises GraphError naming the file and the
         line, and so does a stream with no graph at all.
-
-        The enumeration stands for the stream ``enumerate_connected(n)``
-        but yields only the first graph of each isomorphism class. The
-        last of them is the stream's last graph, K_n, so the last index
-        + 1 is the labeled total.
         """
         if self.kind == "enumeration":
-            yield from _class_firsts(self.n)
+            for form in sorted(_classes(self.n)):
+                yield Graph(self.n, _adjacency(self.n, form))
             return
         order = self.n
-        index = 0
+        count = 0
         # non-ASCII bytes decode to surrogates, which parse_graph6 rejects
         with open(self.path, encoding="ascii", errors="surrogateescape") as fh:
             for line_no, line in enumerate(fh, 1):
@@ -119,9 +119,9 @@ class GraphSource:
                 if not is_connected(g):
                     raise GraphError(
                         f"{self.path}, line {line_no}: graph is disconnected")
-                yield index, g
-                index += 1
-        if not index:
+                yield g
+                count += 1
+        if not count:
             raise GraphError(f"{self.path}: stream holds no graphs")
 
 
@@ -129,7 +129,7 @@ def sources(lo, hi, streams=None):
     """One GraphSource per order lo..hi, in order: the graph6 file that
     ``streams`` (order -> path) names for an order, else the builtin
     enumeration. Raises GraphError before any graph is read if lo < 2, a
-    stream's order lies outside lo..hi or an order above 7 has no
+    stream's order lies outside lo..hi or an order above 8 has no
     stream."""
     if lo < 2:
         raise GraphError(
@@ -147,201 +147,72 @@ def sources(lo, hi, streams=None):
             else GraphSource.enumeration(n) for n in range(lo, hi + 1)]
 
 
-def enumerate_connected(n):
-    """Yield every labeled connected simple graph on n vertices exactly
-    once, in increasing edge-mask order (mask bit b is the b-th pair
-    (i, j), i < j, in column order)."""
-    _check_builtin(n)
-    small, comps = _small_graphs(n - 2)
-    for na, nb, connected in _blocks(n, comps):
-        extra, tail = _lift(n, na, nb)
-        for s in compress(small, connected):
-            yield Graph(n, (*map(or_, s, extra), *tail))
+def _classes(n):
+    """``{form: automorphisms}`` over the classes of connected graphs of
+    order n: each class's canonical form, and automorphisms of the
+    form's graph (lists v -> image) that generate its group.
 
-
-def _class_firsts(n):
-    """Yield ``(index, graph)`` for the first graph of each isomorphism
-    class of ``enumerate_connected(n)``, in stream order, with its
-    position in that stream. The last one is K_n, the stream's last
-    graph and the only graph of its class.
-
-    A graph is (s, na, nb): s on the vertices 0..a-1 (a = n - 2), na
-    the neighbourhood of vertex a and nb that of b = n - 1, with a-b bit
-    hb. Relabeling s by its canonical labeling pi_s, fixing a and b,
-    gives (s*, pi_s(na), pi_s(nb)), so graphs with equal keys (hb,
-    class of s, pi_s(na), pi_s(nb)) are isomorphic, and so are graphs
-    whose keys differ by an automorphism of s*. The key of a graph G
-    rooted at an ordered pair (p, q) of its vertices is the key of G
-    relabeled so that p and q become a and b and the other vertices
-    keep their order; a graph's own key is its key rooted at (a, b).
-
-    A graph is yielded iff its own key is not marked, and when G is
-    yielded, the Aut(s*)-orbit of its key rooted at every (p, q) is
-    marked. This yields exactly the first graph of each class. If a
-    later graph H is isomorphic to G by phi, then phi sends H's (a, b)
-    to some (p, q) of G and H - {a, b} onto G - {p, q}, so H's own key
-    and G's key rooted at (p, q) differ by an automorphism of s*: H's
-    key is marked and H is skipped. A key is marked only by a graph
-    yielded earlier, which is isomorphic to every graph with a key in
-    that orbit, so no first graph of a class is skipped.
-
-    Each block keys its graphs by maps over per-s tables and tests the
-    keys against a byte per key; a graph with an unmarked key is
-    rechecked (an earlier graph of its block may have marked it), then
-    built, marks its class's keys and is yielded. No table outlives
-    the call.
+    Every connected graph of order n >= 2 loses a vertex and stays
+    connected (a leaf of a spanning tree), so it is a class of order
+    n - 1, as its form's graph, with vertex n - 1 added on a nonempty
+    neighbourhood S. An automorphism of the parent maps S to S' and the
+    child on S onto the child on S', so one S per orbit of the parent's
+    group reaches every class, and keeping only new forms keeps each
+    class once.
     """
-    _check_builtin(n)
-    a = n - 2
-    small, comps = _small_graphs(a)
-    # per small graph s: class id, and pi_s of every neighbourhood mask
-    # (moved[m][s], a byte); per class: each automorphism of s*, as a
-    # map of masks
-    forms, sids, autos = {}, [], []
-    moved = [bytearray(len(small)) for _ in range(1 << a)]
-    for si, s in enumerate(small):
-        form, orders = canonical_labeling(a, s)
-        sid = forms.setdefault(form, len(forms))
-        sids.append(sid)
-        if sid == len(autos):
-            # two leaf orders differ by an automorphism: j -> pos_i[order_0[j]]
-            autos.append([_mask_map([pos[v] for v in orders[0]])
-                          for pos in map(_inverse, orders)])
-        for col, x in zip(moved, _mask_map(_inverse(orders[0]))):
-            col[si] = x
-    # key = ((hb * classes + id) << a | pi_s(na)) << a | pi_s(nb & low)
-    low, width = (1 << a) - 1, 1 << 2 * a
-    # the tables' ints are shared objects (as few as the distinct values),
-    # so each list costs a pointer per small graph
-    head = [i * width for i in range(2 * len(forms))]
-    heads = [[head[hb * len(forms) + i] for i in sids] for hb in (0, 1)]
-    shifted = [x << a for x in range(1 << a)]
-    na_part = [[shifted[x] for x in col] for col in moved]
-    seen = bytearray(2 * len(forms) * width)
-    # per root pair p < q: the row map that sends the other vertices, in
-    # order, to 0..a-1 (and p, q to a, b), and for each j in 1..a-1 the
-    # j-th other vertex, the mask of 0..j-1 and the place of its bits in
-    # the column-order edge mask of G - {p, q}, which indexes small
-    roots = []
-    for q in range(1, n):
-        for p in range(q):
-            others = [v for v in range(n) if v != p and v != q]
-            to = _inverse(others + [p, q])
-            roots.append((p, q, _mask_map(to), [
-                (v, (1 << j) - 1, j * (j - 1) // 2)
-                for j, v in enumerate(others) if j]))
-
-    def mark(adj):
-        """Mark the Aut(s*)-orbit of adj's key rooted at every (p, q)."""
-        for p, q, to, gather in roots:
-            si = sum((to[adj[v]] & below) << place
-                     for v, below, place in gather)
-            sid = sids[si]
-            base = head[(adj[p] >> q & 1) * len(forms) + sid]
-            x, y = moved[to[adj[p]] & low][si], moved[to[adj[q]] & low][si]
-            for m in autos[sid]:
-                seen[base | m[x] << a | m[y]] = 1  # rooted at (p, q)
-                seen[base | m[y] << a | m[x]] = 1  # rooted at (q, p)
-
-    index = 0
-    for na, nb, connected in _blocks(n, comps):
-        # nb >> a is the a-b bit hb
-        keys = list(compress(map(add, map(add, heads[nb >> a], na_part[na]),
-                                 moved[nb & low]), connected))
-        flags = bytes(map(seen.__getitem__, keys))  # before this block's marks
-        i = flags.find(0)
-        if i >= 0:
-            extra, tail = _lift(n, na, nb)
-            graphs = list(compress(small, connected))
-            while i >= 0:
-                if not seen[keys[i]]:  # an earlier graph may have marked it
-                    adj = (*map(or_, graphs[i], extra), *tail)
-                    mark(adj)
-                    yield index + i, Graph(n, adj)
-                i = flags.find(0, i + 1)
-        index += len(keys)
-
-
-def _inverse(perm):
-    """The inverse of a permutation given as a list."""
-    inv = [0] * len(perm)
-    for j, v in enumerate(perm):
-        inv[v] = j
-    return inv
-
-
-def _mask_map(perm):
-    """Image of every mask under the vertex map v -> perm[v], as bytes
-    (so for at most 8 vertices)."""
-    out = bytearray(1 << len(perm))
-    for m in range(1, len(out)):
-        out[m] = out[m & (m - 1)] | 1 << perm[(m & -m).bit_length() - 1]
-    return bytes(out)
-
-
-def _check_builtin(n):
-    if not 2 <= n <= MAX_BUILTIN_N:
-        raise GraphError(f"builtin enumeration supports 2 <= n <= {MAX_BUILTIN_N}")
-
-
-def _small_graphs(a):
-    """Every graph on the vertices 0..a-1 in mask order, as adjacency
-    tuples, and the components of each."""
-    small, comps = [()], [()]
-    for v in range(a):
-        small = [(*[x | (nv >> u & 1) << v for u, x in enumerate(s)], nv)
-                 for nv in range(1 << v) for s in small]
-        comps = [_join(c, nv, v) for nv in range(1 << v) for c in comps]
-    return small, comps
-
-
-def _blocks(n, small_comps):
-    """Yield ``(na, nb, connected)`` for the labeled connected graphs on
-    n vertices, in edge-mask order.
-
-    The top n - 1 mask bits are the neighbourhood nb of the last vertex
-    b and the bits below them a graph H on the other vertices, so the
-    walk runs over nb and then over H in mask order. H is a small graph
-    s on the first a = n - 2 vertices plus the neighbourhood na of
-    vertex a. The graph is connected iff nb meets every component of H,
-    and H's component partition is a byte-sized id per mask, so
-    ``connected`` is one byte per small graph, in mask order, set iff s
-    with na and nb is connected.
-    """
-    a, b = n - 2, n - 1
-    # component partition id of each H, indexed by H's mask
-    ids = {}
-    part_id = bytearray(
-        ids.setdefault(tuple(sorted(_join(comps, na, a))), len(ids))
-        for na in range(1 << a) for comps in small_comps
-    )
-    size = len(small_comps)
-    for nb in range(1, 1 << b):
-        meets = bytes(all(c & nb for c in part) for part in ids)
-        connected = part_id.translate(meets.ljust(256, b"\0"))
-        for na in range(1 << a):
-            yield na, nb, connected[na * size:(na + 1) * size]
-
-
-def _lift(n, na, nb):
-    """``(extra, tail)``: or-ing ``extra`` into a small graph's rows and
-    appending ``tail`` gives the graph with na and nb."""
-    a, b = n - 2, n - 1
-    extra = [(na >> u & 1) << a | (nb >> u & 1) << b for u in range(a)]
-    return extra, (na | (nb >> a & 1) << b, nb)
-
-
-def _join(comps, nv, v):
-    """Components after adding vertex v with neighbourhood nv."""
-    joined = 1 << v
-    out = []
-    for c in comps:
-        if c & nv:
-            joined |= c
-        else:
-            out.append(c)
-    out.append(joined)
+    if n == 1:
+        return {0: []}
+    out = {}
+    for parent, gens in _classes(n - 1).items():
+        adj = _adjacency(n - 1, parent)
+        for s in _subset_orbits(n - 1, gens):
+            child = [a | (s >> v & 1) << n - 1 for v, a in enumerate(adj)]
+            form, order, autos = _search(n, child + [s])
+            if form not in out:
+                # vertex order[j] of the child is vertex j of the form's graph
+                pos = _inverse(order)
+                out[form] = [[pos[g[v]] for v in order] for g in autos]
     return out
+
+
+def _adjacency(n, form):
+    """Adjacency masks of the graph whose edge mask is ``form``."""
+    adj = [0] * n
+    for j in range(1, n):
+        adj[j] = form >> j * (j - 1) // 2 & (1 << j) - 1
+        for i in iter_bits(adj[j]):
+            adj[i] |= 1 << j
+    return adj
+
+
+def _subset_orbits(m, gens):
+    """Yield the least member of each orbit of the nonempty subsets of
+    0..m-1 under the group that the permutations ``gens`` generate."""
+    seen = bytearray(1 << m)
+    for s in range(1, 1 << m):
+        if seen[s]:
+            continue
+        seen[s] = 1
+        todo = [s]
+        for x in todo:  # todo grows as the orbit fills
+            for g in gens:
+                image = mask_of(g[v] for v in iter_bits(x))
+                if not seen[image]:
+                    seen[image] = 1
+                    todo.append(image)
+        yield s
+
+
+def _labeled_connected(n):
+    """Labeled connected graphs on n vertices (OEIS A001187), by
+    c_n = 2^C(n,2) - sum_{k<n} C(n-1, k-1) c_k 2^C(n-k,2), where term k
+    counts the graphs whose component of vertex 0 has k vertices."""
+    c = [0, 1]
+    for m in range(2, n + 1):
+        c.append(2 ** comb(m, 2) - sum(
+            comb(m - 1, k - 1) * c[k] * 2 ** comb(m - k, 2)
+            for k in range(1, m)))
+    return c[n]
 
 
 def _law_violations(n, values, maximal_neighbour, delta, is_path):
@@ -385,7 +256,7 @@ class SweepResult:
     n: int
     graphs_scanned: int
     reports: dict  # (xi1, xi2) -> ExtremalReport
-    law_failures: list = field(default_factory=list)  # (index, graph6, message)
+    law_failures: list = field(default_factory=list)  # (graph6, message)
 
 
 def sweep(source, pairs=THEOREM_PAIRS):
@@ -400,7 +271,9 @@ def sweep(source, pairs=THEOREM_PAIRS):
     on the first graph of each class; later graphs of the class repeat
     its values, so only first graphs enter the reduction, and a law
     failure is reported at the first graph of each failing class.
-    ``graphs_scanned`` counts the labeled stream.
+    ``graphs_scanned`` counts the labeled graphs the source stands for:
+    every labeled connected graph of order n for the enumeration
+    (OEIS A001187), and the stream's graphs for a stream.
     """
     pairs = tuple(pairs)
     check_tags(tag for pair in pairs for tag in pair)
@@ -408,7 +281,9 @@ def sweep(source, pairs=THEOREM_PAIRS):
     classes = set()  # canonical forms seen so far
     best = dict.fromkeys(pairs)  # (diff, first graph with it)
     failures = []
-    for index, g in source.graphs():
+    scanned = 0
+    for g in source.graphs():
+        scanned += 1
         if fold:
             form = canonical_form(g.n, g.adj)
             if form in classes:
@@ -422,10 +297,10 @@ def sweep(source, pairs=THEOREM_PAIRS):
                 best[p] = (diff, g)
         if violations:
             g6 = write_graph6(g)
-            failures.extend((index, g6, msg) for msg in violations)
-    # graphs() yields at least one graph, and the stream's last graph
-    # last, or raises
-    n, scanned = g.n, index + 1
+            failures.extend((g6, msg) for msg in violations)
+    n = g.n  # graphs() yields at least one graph or raises
+    if not fold:
+        scanned = _labeled_connected(n)
     reports = {
         p: ExtremalReport(p[0], p[1], n, diff, write_graph6(w), scanned)
         for p, (diff, w) in best.items()

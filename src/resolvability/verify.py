@@ -93,7 +93,7 @@ def verify_order(source):
         "path characterizations hold on every graph",
         not result.law_failures,
         "; ".join(
-            f"{g6}: {msg}" for _, g6, msg in result.law_failures[:3]
+            f"{g6}: {msg}" for g6, msg in result.law_failures[:3]
         ),
     ))
     return checks

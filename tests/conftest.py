@@ -1,12 +1,13 @@
 import random
+from functools import lru_cache
+from itertools import permutations
 
 import pytest
 
 from resolvability import (
     edge_pair_family, from_edge_list, invariant_values, vertex_pair_family)
 from resolvability.canon import canonical_form
-from resolvability.extremal import (
-    THEOREM_PAIRS, GraphSource, enumerate_connected, sweep)
+from resolvability.extremal import THEOREM_PAIRS, GraphSource, sweep
 from resolvability.families import compose_mixed_family
 
 
@@ -18,6 +19,66 @@ def random_connected_graph(rng, n_min=2, n_max=12):
     extra = rng.randint(0, len(possible) // 2)
     edges += rng.sample(possible, extra)
     return from_edge_list(n, edges)
+
+
+def _connected_by_dfs(n, edge_set):
+    """Independent connectivity check (adjacency lists + explicit stack)."""
+    adj = {v: [] for v in range(n)}
+    for u, v in edge_set:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == n
+
+
+def _slots(n):
+    """The vertex pairs (i, j), i < j, in column order: bit b of an edge
+    mask is the b-th pair."""
+    return [(i, j) for j in range(1, n) for i in range(j)]
+
+
+@lru_cache(maxsize=None)
+def slot_unpack_enumeration(n):
+    """Every labeled connected graph on n vertices, in increasing edge
+    mask order (bit b is the b-th pair (i, j), i < j, in column order)."""
+    slots = _slots(n)
+    out = []
+    for mask in range(1 << len(slots)):
+        edges = [p for b, p in enumerate(slots) if mask >> b & 1]
+        if _connected_by_dfs(n, edges):
+            out.append(from_edge_list(n, edges))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def brute_force_classes(n, connected=True):
+    """``((form, |Aut|, masks of the class), ...)`` for the isomorphism
+    classes of the (connected) graphs on n vertices, by a naive scan of
+    the edge masks in increasing order keyed by the brute-force form,
+    the least mask over all n! relabelings: each class appears at its
+    first mask, which is its form. Shares no code with ``canon``."""
+    slots = _slots(n)
+    index = {p: b for b, p in enumerate(slots)}
+    # per relabeling p: the image bit of each slot
+    images = [[index[min(p[i], p[j]), max(p[i], p[j])] for i, j in slots]
+              for p in permutations(range(n))]
+    seen, out = set(), []
+    for mask in range(1 << len(slots)):
+        if mask in seen or connected and not _connected_by_dfs(
+                n, [p for b, p in enumerate(slots) if mask >> b & 1]):
+            continue
+        bits = [b for b in range(len(slots)) if mask >> b & 1]
+        masks = {sum(1 << image[b] for b in bits) for image in images}
+        assert min(masks) == mask
+        seen |= masks
+        out.append((mask, len(images) // len(masks), frozenset(masks)))
+    return tuple(out)
 
 
 def mixed_pair_family(g, dist):
@@ -56,14 +117,16 @@ def connected_classes():
     """Memoized connected graphs of order n by isomorphism class: a list
     of (representative, its invariant_values, the labeled graphs of the
     class), the representative being the first graph enumerated with
-    its canonical form."""
+    its canonical form, which is the builtin source's graph."""
     cache = {}
 
     def get(n):
         if n not in cache:
             members = {}
-            for g in enumerate_connected(n):
+            for g in slot_unpack_enumeration(n):
                 members.setdefault(canonical_form(n, g.adj), []).append(g)
+            reps = [graphs[0] for graphs in members.values()]
+            assert reps == list(GraphSource.enumeration(n).graphs())
             cache[n] = [(graphs[0], invariant_values(graphs[0]), graphs)
                         for graphs in members.values()]
         return cache[n]

@@ -15,7 +15,6 @@ from resolvability import (
     complete,
     complete_bipartite,
     cycle,
-    enumerate_connected,
     family_weak,
     invariant_values,
     is_maximal_neighbour_graph,
@@ -34,7 +33,8 @@ from resolvability.families import edge_pair_family
 from resolvability.invariants import mhs_strict as mhs_strict_op
 from resolvability.invariants import mhs_weak as mhs_weak_op
 
-from conftest import random_connected_graph, random_hitting_instance
+from conftest import (
+    random_connected_graph, random_hitting_instance, slot_unpack_enumeration)
 
 _SEEN_GRAPHS = []  # every graph touched by criteria 1-7, for criterion 8
 
@@ -134,7 +134,7 @@ def test_criterion_4_maximal_neighbour_biconditional(theorem_sweeps):
     failures = []
     # explicit triple-equivalence on small orders
     for n in range(2, 6):
-        for g in enumerate_connected(n):
+        for g in slot_unpack_enumeration(n):
             v = invariant_values(g)
             flags = (v["mhs_strict"] == n, is_maximal_neighbour_graph(g),
                      v["beta_M"] == n)
@@ -142,7 +142,7 @@ def test_criterion_4_maximal_neighbour_biconditional(theorem_sweeps):
                 failures.append(f"n={n} {write_graph6(g)}: {flags}")
     # n = 6 via the sweep's pointwise law check
     bad = [f for f in theorem_sweeps(6).law_failures
-           if "maximal-neighbour" in f[2]]
+           if "maximal-neighbour" in f[1]]
     failures.extend(bad)
     _report(4, not failures,
             f"mhs_strict=n <=> maximal-neighbour <=> beta_M=n on all "
@@ -253,7 +253,7 @@ def test_criterion_7_tprime_reproduction():
 def test_criterion_8_graph6_round_trip():
     graphs = list(_SEEN_GRAPHS)
     for n in range(2, 7):
-        graphs.extend(enumerate_connected(n))
+        graphs.extend(slot_unpack_enumeration(n))
     failures = 0
     for g in graphs:
         if g.n > 62:

@@ -7,6 +7,8 @@ import pytest
 from resolvability.cli import main
 from resolvability.graph import GraphError
 
+from conftest import slot_unpack_enumeration
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -231,8 +233,8 @@ class TestExtremal:
         assert err == (f"error: no sweep of order {argv[0][0]}: invariants "
                        f"are defined for n >= 2\n")
 
-    def test_stream_required_above_7(self, capsys):
-        code, _, err = run(capsys, "extremal", "psi", "beta_E", "8")
+    def test_stream_required_above_8(self, capsys):
+        code, _, err = run(capsys, "extremal", "psi", "beta_E", "9")
         assert code == 1
         assert "stream" in err
 
@@ -243,7 +245,7 @@ class TestExtremal:
             raise AssertionError("swept an order before checking every source")
 
         monkeypatch.setattr(cli, "extremal_difference", no_sweep)
-        code, _, err = run(capsys, "extremal", "psi", "beta_E", "5..8")
+        code, _, err = run(capsys, "extremal", "psi", "beta_E", "5..9")
         assert code == 1
         assert "stream" in err
 
@@ -313,10 +315,10 @@ class TestVerify:
         assert "checks passed" in err
 
     def test_stream_argument(self, capsys, tmp_path):
-        from resolvability import enumerate_connected, write_graph6
+        from resolvability import write_graph6
         p = tmp_path / "n4.g6"
         with open(p, "w") as fh:
-            for g in enumerate_connected(4):
+            for g in slot_unpack_enumeration(4):
                 fh.write(write_graph6(g) + "\n")
         code, out, _ = run(capsys, "verify", "3..4", "--stream",
                            f"4:{p}")
@@ -351,7 +353,7 @@ class TestVerify:
         assert f"{p}, line 1: graph of order 7 in a stream of order 8" in err
 
     def test_missing_stream_for_large_n(self, capsys):
-        code, _, err = run(capsys, "verify", "8..8")
+        code, _, err = run(capsys, "verify", "9..9")
         assert code == 1
         assert "stream" in err
 

@@ -1,13 +1,14 @@
 import json
 import random
 from functools import lru_cache
+from itertools import permutations
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 from resolvability import (
     GraphError,
-    enumerate_connected,
     extremal_difference,
     invariant_values,
     parse_graph6,
@@ -30,7 +31,12 @@ from resolvability.graph import (
     max_degree,
 )
 
-from conftest import random_connected_graph
+from conftest import (
+    _connected_by_dfs,
+    brute_force_classes,
+    random_connected_graph,
+    slot_unpack_enumeration,
+)
 
 
 def _write_stream(path, graphs):
@@ -39,50 +45,25 @@ def _write_stream(path, graphs):
             fh.write(write_graph6(g) + "\n")
 
 
-def _connected_by_dfs(n, edge_set):
-    """Independent connectivity check (adjacency lists + explicit stack)."""
-    adj = {v: [] for v in range(n)}
-    for u, v in edge_set:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
-
-
-def _slot_unpack_enumeration(n):
-    """Every edge mask on n vertices in increasing order (bit b is the
-    b-th pair (i, j), i < j, in column order), keeping connected ones."""
-    slots = [(i, j) for j in range(1, n) for i in range(j)]
-    for mask in range(1 << len(slots)):
-        edges = [p for b, p in enumerate(slots) if mask >> b & 1]
-        if _connected_by_dfs(n, edges):
-            yield from_edge_list(n, edges)
-
-
 # connected graphs up to isomorphism (OEIS A001349)
 A001349 = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
 # labeled connected graphs (OEIS A001187)
-A001187 = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256}
+A001187 = {2: 1, 3: 4, 4: 38, 5: 728, 6: 26704, 7: 1866256,
+           8: 251548592, 9: 66296291072}
 
 REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify.json"
 
 
 @lru_cache(maxsize=None)
 def _class_firsts_naive(n):
-    """(index, graph, values) for the first graph of each isomorphism
-    class of the full labeled stream, in stream order."""
+    """(graph, values) for the first graph of each isomorphism class of
+    the full labeled stream, in stream order."""
     seen, out = set(), []
-    for index, g in enumerate(enumerate_connected(n)):
+    for g in slot_unpack_enumeration(n):
         form = canonical_form(n, g.adj)
         if form not in seen:
             seen.add(form)
-            out.append((index, g, invariant_values(g)))
+            out.append((g, invariant_values(g)))
     return tuple(out)
 
 
@@ -91,7 +72,7 @@ def _naive_sweep(n, pairs):
     of each pair and the law failures of each class's first graph."""
     best = {}
     failures = []
-    for index, g, values in _class_firsts_naive(n):
+    for g, values in _class_firsts_naive(n):
         for p in pairs:
             diff = values[p[0]] - values[p[1]]
             if p not in best or diff > best[p][0]:
@@ -100,7 +81,7 @@ def _naive_sweep(n, pairs):
         is_path = g.num_edges() == n - 1 and delta <= 2
         for msg in extremal._law_violations(
                 n, values, is_maximal_neighbour_graph(g), delta, is_path):
-            failures.append((index, write_graph6(g), msg))
+            failures.append((write_graph6(g), msg))
     scanned = A001187[n]
     reports = {p: ExtremalReport(p[0], p[1], n, d, write_graph6(w), scanned)
                for p, (d, w) in best.items()}
@@ -115,22 +96,27 @@ def _flag_all(n, values, maximal_neighbour, delta, is_path):
     return ("flagged", f"flagged {n}")
 
 
-class TestEnumeration:
-    @pytest.mark.parametrize("n", range(2, 7))
-    def test_same_sequence_as_slot_unpack(self, n):
-        # witnesses are first maximizers, so the order matters too
-        assert list(enumerate_connected(n)) == list(_slot_unpack_enumeration(n))
+def _group_order(n, gens):
+    """Order of the permutation group that ``gens`` generate."""
+    group, todo = {tuple(range(n))}, [tuple(range(n))]
+    for p in todo:  # todo grows as the closure finds new elements
+        for image in {tuple([g[v] for v in p]) for g in gens} - group:
+            group.add(image)
+            todo.append(image)
+    return len(group)
 
+
+class TestEnumeration:
     def test_n2_single_graph(self):
-        graphs = list(enumerate_connected(2))
+        graphs = list(GraphSource.enumeration(2).graphs())
         assert len(graphs) == 1
         assert graphs[0].edges() == [(0, 1)]
 
     def test_n3_shapes(self):
-        graphs = list(enumerate_connected(3))
-        assert len(graphs) == 4  # three labeled paths and the triangle
-        sizes = sorted(g.num_edges() for g in graphs)
-        assert sizes == [2, 2, 2, 3]
+        # the path centred at vertex 0, then the triangle
+        graphs = list(GraphSource.enumeration(3).graphs())
+        assert [g.edges() for g in graphs] == [
+            [(0, 1), (0, 2)], [(0, 1), (0, 2), (1, 2)]]
 
     def test_n4_count_matches_independent_filter(self):
         from itertools import combinations
@@ -140,20 +126,34 @@ class TestEnumeration:
             edge_set = [p for i, p in enumerate(pairs) if mask >> i & 1]
             if _connected_by_dfs(4, edge_set):
                 expected += 1
-        assert sum(1 for _ in enumerate_connected(4)) == expected
+        result = sweep(GraphSource.enumeration(4), pairs=())
+        assert result.graphs_scanned == expected
 
     def test_no_duplicates(self):
-        seen = set()
-        for g in enumerate_connected(4):
-            key = tuple(g.adj)
-            assert key not in seen
-            seen.add(key)
+        # no two yielded graphs are isomorphic, by brute force
+        forms = [min(tuple(sorted(tuple(sorted((p[u], p[v])))
+                                  for u, v in g.edges()))
+                     for p in permutations(range(5)))
+                 for g in GraphSource.enumeration(5).graphs()]
+        assert len(set(forms)) == len(forms) == A001349[5]
 
     def test_out_of_range(self):
-        with pytest.raises(GraphError):
-            list(enumerate_connected(8))
-        with pytest.raises(GraphError):
-            GraphSource.enumeration(1)
+        for n in (1, 9):
+            with pytest.raises(GraphError, match="2 <= n <= 8"):
+                GraphSource.enumeration(n)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_class_counts_and_groups(self, n):
+        # A001349 classes; the found automorphisms generate each group,
+        # so the classes' labeled counts n!/|Aut| add up to A001187
+        classes = extremal._classes(n)
+        assert len(classes) == A001349[n]
+        assert sum(factorial(n) // _group_order(n, gens)
+                   for gens in classes.values()) == A001187[n]
+
+    def test_labeled_count_recurrence(self):
+        assert {n: extremal._labeled_connected(n)
+                for n in range(2, 10)} == A001187
 
 
 class TestIsomorphismInvariance:
@@ -203,7 +203,7 @@ class TestExtremalDifference:
 
     @pytest.mark.parametrize("n", (4, 5))
     def test_witness_is_first_maximizer(self, n):
-        graphs = list(enumerate_connected(n))
+        graphs = slot_unpack_enumeration(n)
         values = [invariant_values(g) for g in graphs]
         result = sweep(GraphSource.enumeration(n))
         for (xi1, xi2), report in result.reports.items():
@@ -226,7 +226,7 @@ class TestStreamSource:
     def test_stream_agrees_with_builtin(self, tmp_path):
         for n in (5, 6):
             p = tmp_path / f"n{n}.g6"
-            _write_stream(p, enumerate_connected(n))
+            _write_stream(p, slot_unpack_enumeration(n))
             builtin = sweep(GraphSource.enumeration(n), THEOREM_PAIRS)
             stream = sweep(GraphSource.graph6_file(str(p)), THEOREM_PAIRS)
             assert stream == builtin
@@ -276,8 +276,9 @@ class TestSources:
             sources(3, 8, {order: "/nonexistent.g6", 8: "n8.g6"})
 
     def test_order_without_source(self):
-        with pytest.raises(GraphError, match="graph6 stream for n = 8"):
-            sources(6, 9, {9: "n9.g6"})
+        with pytest.raises(GraphError, match="builtin enumeration supports "
+                           "2 <= n <= 8; use a graph6 stream for n = 9"):
+            sources(7, 10, {10: "n10.g6"})
 
     @pytest.mark.parametrize("lo,streams", [
         (1, {}), (0, {}), (0, {0: "n0.g6"}), (1, {3: "n3.g6"})])
@@ -294,17 +295,17 @@ class TestSweepLaws:
     def test_no_law_failures(self, n):
         result = sweep(GraphSource.enumeration(n), pairs=())
         assert result.law_failures == []
-        assert result.graphs_scanned == sum(1 for _ in enumerate_connected(n))
+        assert result.graphs_scanned == len(slot_unpack_enumeration(n))
 
     def test_law_failures_reported_once_per_class(self, monkeypatch, tmp_path):
         monkeypatch.setattr(extremal, "_law_violations", _flag_paths)
-        graphs = list(enumerate_connected(4))
-        paths = [i for i, g in enumerate(graphs)
+        graphs = slot_unpack_enumeration(4)
+        paths = [g for g in graphs
                  if g.num_edges() == 3 and max(g.degrees()) == 2]
         result = sweep(GraphSource.enumeration(4), pairs=())
         # P_4 is one class: one failure, at its first labeled graph
         assert result.law_failures == [
-            (paths[0], write_graph6(graphs[paths[0]]), "flagged path")]
+            (write_graph6(paths[0]), "flagged path")]
         p = tmp_path / "n4.g6"
         _write_stream(p, graphs)
         stream = sweep(GraphSource.graph6_file(str(p)), pairs=())
@@ -315,14 +316,14 @@ class TestSweepLaws:
         monkeypatch.setattr(extremal, "_law_violations", _flag_paths)
         # naive: the first graph of each isomorphism class that is a path
         expected = []
-        for index, g, _ in _class_firsts_naive(n):
+        for g, _ in _class_firsts_naive(n):
             if g.num_edges() == n - 1 and max(g.degrees()) == 2:
-                expected.append((index, write_graph6(g), "flagged path"))
+                expected.append((write_graph6(g), "flagged path"))
         assert len(expected) == 1  # P_n is one class
         result = sweep(GraphSource.enumeration(n), pairs=())
         assert result.law_failures == expected
         p = tmp_path / f"n{n}.g6"
-        _write_stream(p, enumerate_connected(n))
+        _write_stream(p, slot_unpack_enumeration(n))
         stream = sweep(GraphSource.graph6_file(str(p)), pairs=())
         assert stream.law_failures == expected
 
@@ -341,9 +342,15 @@ class TestEnumerationSource:
         assert result == _naive_sweep(n, THEOREM_PAIRS)
 
     @pytest.mark.parametrize("n", range(2, 7))
-    def test_indices_are_stream_positions(self, n):
-        yielded = list(GraphSource.enumeration(n).graphs())
-        assert yielded == [(i, g) for i, g, _ in _class_firsts_naive(n)]
+    def test_yields_first_graph_of_each_class(self, n):
+        # the naive scan keyed by the brute-force form, which shares no
+        # code with canon: each class at its first labeled graph
+        firsts = [form for form, _, _ in brute_force_classes(n)]
+        slots = [(i, j) for j in range(1, n) for i in range(j)]
+        graphs = list(GraphSource.enumeration(n).graphs())
+        assert all(g.n == n for g in graphs)
+        assert [sum(1 << b for b, (i, j) in enumerate(slots)
+                    if g.adj[j] >> i & 1) for g in graphs] == firsts
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_sweep_does_not_fold(self, monkeypatch, n):
@@ -358,7 +365,7 @@ class TestEnumerationSource:
         # every labeled graph of order 5: one solve and, with paths
         # flagged, one law failure per class, as from the builtin source
         p = tmp_path / "n5.g6"
-        _write_stream(p, enumerate_connected(5))
+        _write_stream(p, slot_unpack_enumeration(5))
         monkeypatch.setattr(extremal, "_law_violations", _flag_paths)
         calls = []
 
@@ -394,7 +401,7 @@ class TestEnumerationSource:
         monkeypatch.setattr(extremal, "invariant_values", counted)
         result = sweep(GraphSource.graph6_file(str(p)), THEOREM_PAIRS)
         assert calls == [p8, star]
-        assert result.law_failures == [(0, write_graph6(p8), "flagged path")]
+        assert result.law_failures == [(write_graph6(p8), "flagged path")]
         assert result.graphs_scanned == 3
 
     @pytest.mark.parametrize("n", range(2, 7))
@@ -405,18 +412,18 @@ class TestEnumerationSource:
     def test_order_7_matches_reference(self, monkeypatch):
         reference = json.loads(REFERENCE.read_text())["reports"]["7"]
         yielded, calls = [], []
-        class_firsts = extremal._class_firsts
+        graphs = GraphSource.graphs
 
-        def recorded(n):
-            for index, g in class_firsts(n):
+        def recorded(source):
+            for g in graphs(source):
                 yielded.append(g)
-                yield index, g
+                yield g
 
         def counted(g):
             calls.append(g)
             return invariant_values(g)
 
-        monkeypatch.setattr(extremal, "_class_firsts", recorded)
+        monkeypatch.setattr(GraphSource, "graphs", recorded)
         monkeypatch.setattr(extremal, "invariant_values", counted)
         result = sweep(GraphSource.enumeration(7), THEOREM_PAIRS)
         assert len(yielded) == A001349[7]

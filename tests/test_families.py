@@ -21,11 +21,11 @@ from resolvability import (
     vertex_pair_family,
     w_sets,
 )
-from resolvability.extremal import enumerate_connected
 from resolvability.families import compose_mixed_family, psi_family
 from resolvability.graph import bits_list, mask_of
 
-from conftest import mixed_pair_family, random_connected_graph
+from conftest import (
+    mixed_pair_family, random_connected_graph, slot_unpack_enumeration)
 
 
 def _dist(g):
@@ -65,7 +65,7 @@ class TestWSets:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_identities_exhaustive(self, n):
-        for g in enumerate_connected(n):
+        for g in slot_unpack_enumeration(n):
             d = _dist(g)
             full = (1 << n) - 1
             for u, v in g.edges():
@@ -117,7 +117,7 @@ class TestEdgeFamilies:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_all_members_nonempty(self, n):
-        for g in enumerate_connected(n):
+        for g in slot_unpack_enumeration(n):
             d = _dist(g)
             assert all(m for m in family_strict(g, d).sets)
             assert all(m for m in family_weak(g, d).sets)
@@ -145,7 +145,7 @@ class TestPairFamilies:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_mixed_resolver_nonempty_exhaustive(self, n):
-        for g in enumerate_connected(n):
+        for g in slot_unpack_enumeration(n):
             fam = mixed_pair_family(g, _dist(g))
             assert all(m for m in fam.sets)
 
@@ -241,7 +241,7 @@ class TestDoublyResolving:
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_full_vertex_set_doubly_resolves(self, n):
-        for g in enumerate_connected(n):
+        for g in slot_unpack_enumeration(n):
             assert is_doubly_resolving(_dist(g), range(n))
 
     def test_matches_two_witness_definition(self):
@@ -264,7 +264,7 @@ class TestDoublyResolving:
 class TestPsiFamily:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_hitting_sets_are_doubly_resolving_sets(self, n):
-        for g in enumerate_connected(n):
+        for g in slot_unpack_enumeration(n):
             d = _dist(g)
             sets = psi_family(g, d).sets
             for mask in range(1 << n):

@@ -32,12 +32,11 @@ from resolvability import (
 )
 from resolvability import families, invariants
 from resolvability.canon import canonical_form
-from resolvability.extremal import enumerate_connected
 from resolvability.graph import mask_of
 from resolvability.invariants import TAGS, result_record
 from resolvability.graph6 import write_graph6
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, slot_unpack_enumeration
 
 
 def brute_force_psi(dist):
@@ -159,7 +158,7 @@ class TestDoublyMetricDimension:
         # value and witness equal the first doubly resolving set by size,
         # then lexicographic order; covers P_2 and K_3, whose level-set
         # families are empty
-        for g in enumerate_connected(n):
+        for g in slot_unpack_enumeration(n):
             d = all_pairs_distances(g)
             res = doubly_metric_dimension(g)
             want = brute_force_psi(d)
@@ -241,7 +240,7 @@ SINGLE = {
 def _classes_up_to_5():
     for n in range(2, 6):
         forms = set()
-        for g in enumerate_connected(n):
+        for g in slot_unpack_enumeration(n):
             form = canonical_form(n, g.adj)
             if form not in forms:
                 forms.add(form)

@@ -11,6 +11,8 @@ from resolvability.verify import (
     verify_tprime_construction,
 )
 
+from conftest import slot_unpack_enumeration
+
 
 def test_verify_small_orders_all_pass():
     checks = verify_theorems(3, 5)
@@ -68,10 +70,10 @@ def test_family_formula_values():
 def test_stream_backed_order(tmp_path):
     # a stream for an order the builtin enumerator covers: equality
     # claims degrade to bound consistency but still pass
-    from resolvability import enumerate_connected, write_graph6
+    from resolvability import write_graph6
     p = tmp_path / "n4.g6"
     with open(p, "w") as fh:
-        for g in enumerate_connected(4):
+        for g in slot_unpack_enumeration(4):
             fh.write(write_graph6(g) + "\n")
     checks = verify_order(GraphSource.graph6_file(str(p), n=4))
     assert all(c.passed for c in checks)
@@ -79,10 +81,10 @@ def test_stream_backed_order(tmp_path):
 
 
 def test_stream_in_builtin_range_degrades_that_order(tmp_path):
-    from resolvability import enumerate_connected, write_graph6
+    from resolvability import write_graph6
     p = tmp_path / "n4.g6"
     with open(p, "w") as fh:
-        for g in enumerate_connected(4):
+        for g in slot_unpack_enumeration(4):
             fh.write(write_graph6(g) + "\n")
     checks = verify_theorems(3, 5, {4: str(p)})
     assert all(c.passed for c in checks)
@@ -123,7 +125,7 @@ def test_missing_stream_fails_before_any_sweep(monkeypatch):
 
     monkeypatch.setattr(verify, "sweep", no_sweep)
     with pytest.raises(GraphError, match="stream"):
-        verify_theorems(3, 8)
+        verify_theorems(3, 9)
 
 
 def test_out_of_range_stream_fails_before_any_sweep(monkeypatch):

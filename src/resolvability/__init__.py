@@ -40,7 +40,6 @@ from .families import (
 from .hitting import (
     InfeasibleInstanceError,
     brute_force_min_hitting,
-    greedy_hitting,
     min_hitting_exact,
     verify_hitting,
 )
@@ -48,13 +47,7 @@ from .invariants import (
     TAGS,
     InvariantResult,
     all_invariants,
-    doubly_metric_dimension,
-    edge_metric_dimension,
     invariant_values,
-    metric_dimension,
-    mhs_strict,
-    mhs_weak,
-    mixed_metric_dimension,
 )
 from .extremal import (
     ExtremalReport,

@@ -3,9 +3,12 @@ found by an individualization search pruned by automorphisms (after
 McKay & Piperno, J. Symb. Comput. 60 (2014)).
 
 A graph's edge mask has bit j(j-1)/2 + i set iff vertices i < j are
-adjacent: the pairs in column order, as in graph6. So masks compare
-column n - 1 (the neighbours of vertex n - 1) first, then column n - 2,
-and so on. ``canonical_form(n, adj)`` is the least mask over all
+adjacent: the pairs in column order, as in graph6. This module owns
+that layout: ``relabeled_mask`` encodes it and ``adjacency`` decodes it,
+for the graph6 codec and the class enumeration alike; only ``_search``
+builds masks itself, a column at a time as it gives labels. Masks
+compare column n - 1 (the neighbours of vertex n - 1) first, then column
+n - 2, and so on. ``canonical_form(n, adj)`` is the least mask over all
 relabelings of the graph, so equal forms mean isomorphic graphs and the
 form is the mask of the class's first labeled graph in mask order.
 
@@ -33,6 +36,17 @@ def relabeled_mask(n, adj, order):
             if pos[u] < j:
                 mask |= 1 << j * (j - 1) // 2 + pos[u]
     return mask
+
+
+def adjacency(n, mask):
+    """Adjacency masks of the graph on n vertices whose edge mask is
+    ``mask``: the inverse of ``relabeled_mask(n, adj, range(n))``."""
+    adj = [0] * n
+    for j in range(1, n):
+        adj[j] = mask >> j * (j - 1) // 2 & (1 << j) - 1
+        for i in iter_bits(adj[j]):
+            adj[i] |= 1 << j
+    return adj
 
 
 def _inverse(perm):

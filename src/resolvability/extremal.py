@@ -2,7 +2,8 @@
 
 ``GraphSource.enumeration(n)`` yields the connected graphs of order
 2 <= n <= 8 up to isomorphism, one per class: the graph of the class's
-canonical form (``canon.canonical_form``), in increasing form order.
+canonical form (``canon.canonical_form``), decoded by ``canon``, which
+owns the edge-mask layout, in increasing form order.
 That graph is the class's first graph in the labeled stream, every
 labeled connected graph of order n by increasing edge mask. The classes
 of order n come from those of order n - 1 by adding one vertex (after
@@ -23,7 +24,7 @@ on that graph; it folds a graph6 stream, which yields every graph, by
 from dataclasses import dataclass, field
 from math import comb
 
-from .canon import _inverse, _search, canonical_form
+from .canon import _inverse, _search, adjacency, canonical_form
 from .graph import (
     Graph,
     GraphError,
@@ -95,7 +96,7 @@ class GraphSource:
         """
         if self.kind == "enumeration":
             for form in sorted(_classes(self.n)):
-                yield Graph(self.n, _adjacency(self.n, form))
+                yield Graph(self.n, adjacency(self.n, form))
             return
         order = self.n
         count = 0
@@ -164,7 +165,7 @@ def _classes(n):
         return {0: []}
     out = {}
     for parent, gens in _classes(n - 1).items():
-        adj = _adjacency(n - 1, parent)
+        adj = adjacency(n - 1, parent)
         for s in _subset_orbits(n - 1, gens):
             child = [a | (s >> v & 1) << n - 1 for v, a in enumerate(adj)]
             form, order, autos = _search(n, child + [s])
@@ -173,16 +174,6 @@ def _classes(n):
                 pos = _inverse(order)
                 out[form] = [[pos[g[v]] for v in order] for g in autos]
     return out
-
-
-def _adjacency(n, form):
-    """Adjacency masks of the graph whose edge mask is ``form``."""
-    adj = [0] * n
-    for j in range(1, n):
-        adj[j] = form >> j * (j - 1) // 2 & (1 << j) - 1
-        for i in iter_bits(adj[j]):
-            adj[i] |= 1 << j
-    return adj
 
 
 def _subset_orbits(m, gens):

@@ -35,9 +35,6 @@ class SetFamily:
     n: int
     sets: tuple
 
-    def __len__(self):
-        return len(self.sets)
-
 
 def _require_adjacent(dist, u, v):
     if u == v or dist[u][v] != 1:

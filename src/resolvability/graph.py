@@ -84,19 +84,6 @@ class Graph:
     def num_edges(self):
         return sum(a.bit_count() for a in self.adj) // 2
 
-    def has_edge(self, u, v):
-        return bool(self.adj[u] >> v & 1)
-
-    def neighbors(self, v):
-        """Open neighborhood N(v) as a sorted tuple."""
-        return bits_list(self.adj[v])
-
-    def degree(self, v):
-        return self.adj[v].bit_count()
-
-    def degrees(self):
-        return [a.bit_count() for a in self.adj]
-
 
 def from_edge_list(n, edges):
     """Build a graph from vertex count and (u, v) pairs.
@@ -309,9 +296,3 @@ def parse_edge_list_text(text):
             raise GraphError(f"line {no}: self-loop at vertex {u} is not allowed")
         edges.append((u - 1, v - 1))
     return from_edge_list(n, edges)
-
-
-def write_edge_list_text(g):
-    lines = [f"{g.n} {g.num_edges()}"]
-    lines += [f"{u + 1} {v + 1}" for u, v in g.edges()]
-    return "\n".join(lines) + "\n"

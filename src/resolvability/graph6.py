@@ -4,8 +4,13 @@ The format packs the upper triangle of the adjacency matrix in column
 order (pairs (0,1), (0,2), (1,2), (0,3), ...) into 6-bit groups, each
 offset by 63 into the printable ASCII range. Unused trailing bits must
 be zero. Long form (header byte '~', n >= 63) is not supported.
+
+That pair order is the edge mask's (``canon``), which puts pair (0,1)
+at bit 0 where graph6 puts it at the top; so this module validates and
+packs the bits, and reverses them to and from ``canon``'s codec.
 """
 
+from .canon import adjacency, relabeled_mask
 from .graph import Graph, GraphError
 
 MAX_N = 62
@@ -45,17 +50,7 @@ def parse_graph6(text):
     pad = nbytes * 6 - npairs
     if bits & ((1 << pad) - 1):
         raise Graph6Error("graph6 string has nonzero padding bits")
-    bits >>= pad
-    adj = [0] * n
-    # bits now holds the npairs adjacency bits, first pair at the top
-    k = npairs
-    for v in range(1, n):
-        for u in range(v):
-            k -= 1
-            if bits >> k & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return Graph(n, adj)
+    return Graph(n, adjacency(n, _reversed(bits >> pad, npairs)))
 
 
 def write_graph6(g):
@@ -64,13 +59,15 @@ def write_graph6(g):
     if n > MAX_N:
         raise Graph6Error(f"graph6 short form supports n <= {MAX_N}, got {n}")
     npairs = n * (n - 1) // 2
-    bits = 0
-    for v in range(1, n):
-        for u in range(v):
-            bits = bits << 1 | (g.adj[u] >> v & 1)
     nbytes = (npairs + 5) // 6
+    bits = _reversed(relabeled_mask(n, g.adj, range(n)), npairs)
     bits <<= nbytes * 6 - npairs
     out = [chr(n + 63)]
     for i in range(nbytes - 1, -1, -1):
         out.append(chr((bits >> (6 * i) & 63) + 63))
     return "".join(out)
+
+
+def _reversed(bits, width):
+    """The ``width``-bit number ``bits`` with its bit order reversed."""
+    return int(f"{bits:0{width}b}"[::-1], 2)

@@ -41,23 +41,6 @@ def _check_instance(n, sets):
         raise InfeasibleInstanceError("family contains an empty set")
 
 
-def greedy_hitting(n, sets):
-    """Greedy upper bound: repeatedly pick the vertex hitting the most
-    uncovered sets, ties broken by lowest index. Returns a bitmask."""
-    _check_instance(n, sets)
-    uncovered = list(sets)
-    chosen = 0
-    while uncovered:
-        counts = [0] * n
-        for s in uncovered:
-            for v in iter_bits(s):
-                counts[v] += 1
-        best = max(range(n), key=lambda v: (counts[v], -v))
-        chosen |= 1 << best
-        uncovered = [s for s in uncovered if not s >> best & 1]
-    return chosen
-
-
 def _by_size(sets):
     """The distinct sets in (bit_count, value) order. Two stable sorts
     on C-level keys give that order without building key tuples."""

@@ -15,7 +15,7 @@ matrix and builds each family at most once, so beta_M reuses the beta
 and beta_E families; a family is dropped after its last use. Every
 witness hits its family, and a psi witness is also re-checked by the
 two-witness definition (``is_doubly_resolving``), before it leaves this
-module. The single-invariant functions wrap it.
+module.
 """
 
 from dataclasses import dataclass
@@ -75,7 +75,8 @@ def _solve(tag, family, dist):
 def all_invariants(g, tags=TAGS):
     """The invariants named by ``tags`` (default all six) with
     witnesses, as a dict tag -> InvariantResult in the order of
-    ``tags``. Only the families those tags need are built, each once."""
+    ``tags``. Each witness is the lexicographically smallest optimum.
+    Only the families those tags need are built, each once."""
     tags = tuple(dict.fromkeys(tags))  # each tag once, in order
     check_tags(tags)
     if g.n < 2:
@@ -102,37 +103,6 @@ def all_invariants(g, tags=TAGS):
         for done in built.keys() - later:
             del built[done]
     return results
-
-
-def metric_dimension(g):
-    """beta(G): minimum resolving set size."""
-    return all_invariants(g, ("beta",))["beta"]
-
-
-def edge_metric_dimension(g):
-    """beta_E(G): minimum edge resolving set size."""
-    return all_invariants(g, ("beta_E",))["beta_E"]
-
-
-def mixed_metric_dimension(g):
-    """beta_M(G): minimum mixed resolving set size."""
-    return all_invariants(g, ("beta_M",))["beta_M"]
-
-
-def doubly_metric_dimension(g):
-    """psi(G): minimum doubly resolving set size; the witness is the
-    lexicographically smallest minimum doubly resolving set."""
-    return all_invariants(g, ("psi",))["psi"]
-
-
-def mhs_strict(g):
-    """Minimum hitting set of {W_uv, W_vu | uv edge} (mhs_<)."""
-    return all_invariants(g, ("mhs_strict",))["mhs_strict"]
-
-
-def mhs_weak(g):
-    """Minimum hitting set of {Wbar_uv, Wbar_vu | uv edge} (mhs_<=)."""
-    return all_invariants(g, ("mhs_weak",))["mhs_weak"]
 
 
 def invariant_values(g):

@@ -67,9 +67,9 @@ _IDENTITIES = (
 
 def verify_order(source):
     """All sweep-based checks for one source (exhaustive if builtin)."""
-    n = source.n
     exhaustive = source.kind == "enumeration"
     result = sweep(source, THEOREM_PAIRS)
+    n = result.n  # a stream source need not name its order
     d = {p: result.reports[p].max_diff for p in THEOREM_PAIRS}
     checks = []
     if n >= 3:

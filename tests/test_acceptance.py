@@ -30,8 +30,6 @@ from resolvability import (
 )
 from resolvability.graph import mask_of
 from resolvability.families import edge_pair_family
-from resolvability.invariants import mhs_strict as mhs_strict_op
-from resolvability.invariants import mhs_weak as mhs_weak_op
 
 from conftest import (
     random_connected_graph, random_hitting_instance, slot_unpack_enumeration)
@@ -49,24 +47,26 @@ def _report(number, passed, text):
     assert passed, f"criterion {number} failed: {text}"
 
 
+def _mhs(g):
+    """``(mhs_strict, mhs_weak)`` of g."""
+    res = all_invariants(g, ("mhs_strict", "mhs_weak"))
+    return res["mhs_strict"].value, res["mhs_weak"].value
+
+
 def test_criterion_1_closed_form_mhs_table():
     t0 = time.time()
     failures = []
     for n in range(2, 11):
-        v = {r.tag: r.value for r in
-             (mhs_strict_op(_note(path(n))), mhs_weak_op(path(n)))}
-        if (v["mhs_strict"], v["mhs_weak"]) != (2, 2):
+        v = _mhs(_note(path(n)))
+        if v != (2, 2):
             failures.append(f"P_{n}: {v}")
     for n in range(3, 11):
-        g = _note(star(n))
-        if (mhs_strict_op(g).value, mhs_weak_op(g).value) != (n - 1, n - 1):
+        if _mhs(_note(star(n))) != (n - 1, n - 1):
             failures.append(f"S_{n}")
-        g = _note(complete(n))
-        if (mhs_strict_op(g).value, mhs_weak_op(g).value) != (n, 2):
+        if _mhs(_note(complete(n))) != (n, 2):
             failures.append(f"K_{n}")
     for m in range(2, 9):
-        g = _note(complete_bipartite(2, m))
-        if (mhs_strict_op(g).value, mhs_weak_op(g).value) != (2, 2):
+        if _mhs(_note(complete_bipartite(2, m))) != (2, 2):
             failures.append(f"K_2,{m}")
     elapsed = time.time() - t0
     _report(1, not failures and elapsed < 5.0,
@@ -75,23 +75,23 @@ def test_criterion_1_closed_form_mhs_table():
 
 
 def test_criterion_2_psi_closed_forms():
-    from resolvability import doubly_metric_dimension
     t0 = time.time()
     failures = []
     for n in range(2, 10):
-        if doubly_metric_dimension(_note(complete(n))).value != max(2, n - 1):
+        psi = all_invariants(_note(complete(n)), ("psi",))["psi"]
+        if psi.value != max(2, n - 1):
             failures.append(f"K_{n}")
     for n in range(3, 11):
         expected = 2 if n % 2 else 3
-        if doubly_metric_dimension(_note(cycle(n))).value != expected:
+        if all_invariants(_note(cycle(n)), ("psi",))["psi"].value != expected:
             failures.append(f"C_{n}")
     for n in range(3, 10):
         g = _note(star(n))
-        if doubly_metric_dimension(g).value != leaf_count(g):
+        if all_invariants(g, ("psi",))["psi"].value != leaf_count(g):
             failures.append(f"S_{n}")
     for n in range(4, 13):
         g = _note(t_prime_tree(n))
-        if doubly_metric_dimension(g).value != leaf_count(g):
+        if all_invariants(g, ("psi",))["psi"].value != leaf_count(g):
             failures.append(f"T'_{n}")
     elapsed = time.time() - t0
     _report(2, not failures and elapsed < 60.0,
@@ -225,7 +225,6 @@ def test_criterion_6_solver_oracle_equivalence():
 
 
 def test_criterion_7_tprime_reproduction():
-    from resolvability import doubly_metric_dimension, edge_metric_dimension
     figure_edges = {
         8: {(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 6), (3, 7)},
         9: {(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6), (2, 7), (3, 8)},
@@ -236,9 +235,9 @@ def test_criterion_7_tprime_reproduction():
         m = n // 2
         if set(g.edges()) != figure_edges[n]:
             failures.append(f"T'_{n} edges")
-        if doubly_metric_dimension(g).value != m + 1:
+        if all_invariants(g, ("psi",))["psi"].value != m + 1:
             failures.append(f"psi(T'_{n})")
-        if edge_metric_dimension(g).value != 2:
+        if all_invariants(g, ("beta_E",))["beta_E"].value != 2:
             failures.append(f"beta_E(T'_{n})")
         base = mask_of((0, n - m))
         fam = edge_pair_family(g, all_pairs_distances(g))

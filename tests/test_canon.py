@@ -3,7 +3,8 @@ from itertools import compress, permutations
 
 import pytest
 
-from resolvability.canon import _search, canonical_form, relabeled_mask
+from resolvability.canon import (
+    _search, adjacency, canonical_form, relabeled_mask)
 from resolvability.graph import (
     complete,
     complete_bipartite,
@@ -173,14 +174,17 @@ def test_class_counts():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_labelings_are_the_automorphism_coset(n):
     # every graph on n vertices, connected or not: each order maps the
-    # graph onto its form, and there is one order per automorphism
+    # graph onto its form, and there is one order per automorphism; the
+    # codec maps the graph to its mask and back
     for mask in range(1 << n * (n - 1) // 2):
         adj = _adjacency(n, mask)
+        assert adjacency(n, mask) == adj
         form, orders = _coset(n, adj)
         assert form == canonical_form(n, adj)
         assert all(relabeled_mask(n, adj, order) == form for order in orders)
         assert len(set(map(tuple, orders))) == len(orders)
         own = relabeled_mask(n, adj, range(n))
+        assert own == mask
         autos = sum(relabeled_mask(n, adj, p) == own
                     for p in permutations(range(n)))
         assert len(orders) == autos

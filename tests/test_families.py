@@ -93,7 +93,7 @@ class TestEdgeFamilies:
     def test_weak_k3(self):
         g = complete(3)
         fam = family_weak(g, _dist(g))
-        assert len(fam) == 6
+        assert len(fam.sets) == 6
         assert all(m.bit_count() == 2 for m in fam.sets)
 
     def test_strict_p2(self):
@@ -133,7 +133,7 @@ class TestPairFamilies:
     def test_p3_edge_pairs(self):
         g = path(3)
         fam = edge_pair_family(g, _dist(g))
-        assert len(fam) == 1
+        assert len(fam.sets) == 1
         assert fam.sets[0] >> 0 & 1  # v_1 resolves the two edges
 
     def test_k2_mixed(self):
@@ -152,9 +152,9 @@ class TestPairFamilies:
     def test_family_sizes(self):
         g = cycle(4)
         d = _dist(g)
-        assert len(vertex_pair_family(g, d)) == 6
-        assert len(edge_pair_family(g, d)) == 6
-        assert len(mixed_pair_family(g, d)) == 28
+        assert len(vertex_pair_family(g, d).sets) == 6
+        assert len(edge_pair_family(g, d).sets) == 6
+        assert len(mixed_pair_family(g, d).sets) == 28
 
     def test_mixed_matches_all_item_pairs(self):
         # the same multiset of sets as one resolver set per unordered

@@ -20,6 +20,20 @@ def test_write_k4():
     assert write_graph6(complete(4)) == "C~"
 
 
+@pytest.mark.parametrize("text,n,edges", [
+    # the graph6 specification's own example
+    ("DQc", 5, [(0, 2), (0, 4), (1, 3), (3, 4)]),
+    # the star on 3 vertices centred at vertex 0
+    ("Bo", 3, [(0, 1), (0, 2)]),
+])
+def test_asymmetric_fixtures(text, n, edges):
+    # unlike K_4 and P_2, these read as other graphs with the pair order
+    # reversed, so they pin the layout in each direction
+    g = from_edge_list(n, edges)
+    assert parse_graph6(text) == g
+    assert write_graph6(g) == text
+
+
 def test_p2_round_trip():
     s = write_graph6(path(2))
     assert parse_graph6(s) == path(2)

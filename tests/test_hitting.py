@@ -12,7 +12,6 @@ from resolvability import (
     edge_pair_family,
     family_strict,
     family_weak,
-    greedy_hitting,
     min_hitting_exact,
     path,
     star,
@@ -40,27 +39,6 @@ class TestVerify:
 
     def test_empty_family_vacuous(self):
         assert verify_hitting((), 0)
-
-
-class TestGreedy:
-    def test_single_singleton(self):
-        assert greedy_hitting(3, (0b010,)) == 0b010
-
-    def test_k3_strict_family_needs_three(self):
-        g = complete(3)
-        fam = family_strict(g, all_pairs_distances(g))
-        got = greedy_hitting(3, fam.sets)
-        assert got.bit_count() == 3
-
-    def test_empty_set_infeasible(self):
-        with pytest.raises(InfeasibleInstanceError):
-            greedy_hitting(3, (0b010, 0))
-
-    def test_greedy_is_valid(self):
-        rng = random.Random(17)
-        for _ in range(200):
-            n, sets = random_hitting_instance(rng)
-            assert verify_hitting(sets, greedy_hitting(n, sets))
 
 
 class TestExact:
@@ -102,13 +80,11 @@ class TestExact:
             b = min_hitting_exact(n, sets)
             assert a == b
 
-    def test_solution_validity_and_greedy_bound(self):
+    def test_solution_validity(self):
         rng = random.Random(11)
         for _ in range(200):
             n, sets = random_hitting_instance(rng)
-            sol = min_hitting_exact(n, sets)
-            assert verify_hitting(sets, sol)
-            assert sol.bit_count() <= greedy_hitting(n, sets).bit_count()
+            assert verify_hitting(sets, min_hitting_exact(n, sets))
 
 
 class TestOracleEquivalence:

@@ -12,8 +12,6 @@ from resolvability import (
     complete,
     complete_bipartite,
     cycle,
-    doubly_metric_dimension,
-    edge_metric_dimension,
     family_weak,
     from_edge_list,
     invariant_values,
@@ -21,10 +19,6 @@ from resolvability import (
     is_maximal_neighbour_graph,
     leaf_count,
     max_degree,
-    metric_dimension,
-    mhs_strict,
-    mhs_weak,
-    mixed_metric_dimension,
     path,
     star,
     t_prime_tree,
@@ -51,63 +45,63 @@ def brute_force_psi(dist):
 
 
 def _is_path(g):
-    return g.num_edges() == g.n - 1 and max(g.degrees()) <= 2
+    return g.num_edges() == g.n - 1 and max_degree(g) <= 2
 
 
 class TestMhs:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_path(self, n):
         g = path(n)
-        s, w = mhs_strict(g), mhs_weak(g)
+        s, w = all_invariants(g, ("mhs_strict", "mhs_weak")).values()
         assert (s.value, w.value) == (2, 2)
         assert s.witness == w.witness == (0, n - 1)
 
     @pytest.mark.parametrize("n", range(3, 8))
     def test_complete(self, n):
         g = complete(n)
-        assert mhs_weak(g).value == 2
-        assert mhs_strict(g).value == n
+        assert all_invariants(g, ("mhs_weak",))["mhs_weak"].value == 2
+        assert all_invariants(g, ("mhs_strict",))["mhs_strict"].value == n
 
     @pytest.mark.parametrize("m", range(2, 7))
     def test_k2m(self, m):
         g = complete_bipartite(2, m)
-        s, w = mhs_strict(g), mhs_weak(g)
+        s, w = all_invariants(g, ("mhs_strict", "mhs_weak")).values()
         assert (s.value, w.value) == (2, 2)
         assert s.witness == (0, 1)  # the two-vertex part {u_1, u_2}
 
     def test_rejects_n1(self):
         with pytest.raises(GraphError):
-            mhs_strict(from_edge_list(1, []))
+            all_invariants(from_edge_list(1, []), ("mhs_strict",))
 
     def test_rejects_disconnected(self):
         with pytest.raises(GraphError):
-            mhs_weak(from_edge_list(4, [(0, 1), (2, 3)]))
+            all_invariants(from_edge_list(4, [(0, 1), (2, 3)]), ("mhs_weak",))
 
 
 class TestMetricDimensions:
     @pytest.mark.parametrize("n", range(2, 8))
     def test_complete(self, n):
         g = complete(n)
-        assert metric_dimension(g).value == n - 1
-        assert edge_metric_dimension(g).value == n - 1
+        assert all_invariants(g, ("beta",))["beta"].value == n - 1
+        assert all_invariants(g, ("beta_E",))["beta_E"].value == n - 1
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_cycle(self, n):
         g = cycle(n)
-        assert metric_dimension(g).value == 2
-        assert edge_metric_dimension(g).value == 2
+        assert all_invariants(g, ("beta",))["beta"].value == 2
+        assert all_invariants(g, ("beta_E",))["beta_E"].value == 2
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_path_dimensions(self, n):
         g = path(n)
-        assert metric_dimension(g).value == 1
-        assert edge_metric_dimension(g).value == 1
-        assert mixed_metric_dimension(g).value == 2
+        assert all_invariants(g, ("beta",))["beta"].value == 1
+        assert all_invariants(g, ("beta_E",))["beta_E"].value == 1
+        assert all_invariants(g, ("beta_M",))["beta_M"].value == 2
 
     def test_mixed_bipartite(self):
-        assert mixed_metric_dimension(complete_bipartite(2, 3)).value == 4
-        assert mixed_metric_dimension(complete_bipartite(3, 3)).value == 4
-        assert mixed_metric_dimension(complete_bipartite(3, 4)).value == 5
+        for r, t, expected in ((2, 3, 4), (3, 3, 4), (3, 4, 5)):
+            g = complete_bipartite(r, t)
+            assert all_invariants(g, ("beta_M",))["beta_M"].value == expected
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_path_characterizations_exhaustive(self, n, connected_classes):
@@ -121,21 +115,22 @@ class TestMetricDimensions:
 class TestDoublyMetricDimension:
     @pytest.mark.parametrize("n,expected", [(2, 2), (3, 2), (5, 4), (8, 7)])
     def test_complete(self, n, expected):
-        assert doubly_metric_dimension(complete(n)).value == expected
+        assert all_invariants(complete(n), ("psi",))["psi"].value == expected
 
     @pytest.mark.parametrize("n", range(3, 9))
     def test_cycle(self, n):
-        assert doubly_metric_dimension(cycle(n)).value == (2 if n % 2 else 3)
+        psi = all_invariants(cycle(n), ("psi",))["psi"]
+        assert psi.value == (2 if n % 2 else 3)
 
     def test_trees_leaf_count(self):
         for g in (star(5), t_prime_tree(8), t_prime_tree(11)):
-            assert doubly_metric_dimension(g).value == leaf_count(g)
+            assert all_invariants(g, ("psi",))["psi"].value == leaf_count(g)
 
     def test_witness_is_doubly_resolving(self):
         rng = random.Random(21)
         for _ in range(30):
             g = random_connected_graph(rng, n_max=8)
-            res = doubly_metric_dimension(g)
+            res = all_invariants(g, ("psi",))["psi"]
             d = all_pairs_distances(g)
             assert is_doubly_resolving(d, res.witness)
             assert len(res.witness) == res.value
@@ -145,13 +140,13 @@ class TestDoublyMetricDimension:
         rng = random.Random(22)
         for _ in range(30):
             g = random_connected_graph(rng, n_max=8)
-            res = doubly_metric_dimension(g)
+            res = all_invariants(g, ("psi",))["psi"]
             fam = family_weak(g, all_pairs_distances(g))
             assert verify_hitting(fam.sets, mask_of(res.witness))
 
     def test_deterministic_witness(self):
         g = cycle(6)
-        assert doubly_metric_dimension(g) == doubly_metric_dimension(g)
+        assert all_invariants(g, ("psi",)) == all_invariants(g, ("psi",))
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_matches_brute_force_exhaustive(self, n):
@@ -160,7 +155,7 @@ class TestDoublyMetricDimension:
         # families are empty
         for g in slot_unpack_enumeration(n):
             d = all_pairs_distances(g)
-            res = doubly_metric_dimension(g)
+            res = all_invariants(g, ("psi",))["psi"]
             want = brute_force_psi(d)
             assert (res.value, res.witness) == (len(want), want)
 
@@ -195,14 +190,14 @@ class TestLogBound:
     # beta_E(G) >= ceil(log2(max degree))
     def test_examples(self):
         for g in (complete(8), path(5), cycle(4)):
-            assert (edge_metric_dimension(g).value
+            assert (all_invariants(g, ("beta_E",))["beta_E"].value
                     >= (max_degree(g) - 1).bit_length())
 
     def test_random(self):
         rng = random.Random(31)
         for _ in range(50):
             g = random_connected_graph(rng, n_max=9)
-            assert (edge_metric_dimension(g).value
+            assert (all_invariants(g, ("beta_E",))["beta_E"].value
                     >= (max_degree(g) - 1).bit_length())
 
 
@@ -225,16 +220,6 @@ class TestResults:
         rec = result_record(g, write_graph6(g), all_invariants(g, ("psi",)))
         assert set(rec) == {"graph6", "n", "m", "psi", "witnesses"}
         assert rec["witnesses"] == {"psi": [1, 4]}
-
-
-SINGLE = {
-    "beta": metric_dimension,
-    "beta_E": edge_metric_dimension,
-    "beta_M": mixed_metric_dimension,
-    "psi": doubly_metric_dimension,
-    "mhs_strict": mhs_strict,
-    "mhs_weak": mhs_weak,
-}
 
 
 def _classes_up_to_5():
@@ -260,10 +245,10 @@ class TestPipeline:
         for g in graphs:
             everything = all_invariants(g)
             assert tuple(everything) == TAGS
-            for tag, single in SINGLE.items():
+            for tag in TAGS:
                 alone = all_invariants(g, (tag,))
                 assert tuple(alone) == (tag,)
-                assert single(g) == everything[tag] == alone[tag]
+                assert alone[tag] == everything[tag]
             assert invariant_values(g) == {
                 tag: r.value for tag, r in everything.items()}
 

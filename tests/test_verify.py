@@ -80,6 +80,17 @@ def test_stream_backed_order(tmp_path):
     assert any("stream" in c.statement for c in checks)
 
 
+def test_stream_without_order(tmp_path):
+    # a source that names no order takes it from its stream's graphs
+    from resolvability import cycle, path, write_graph6
+    p = tmp_path / "n4.g6"
+    p.write_text(f"{write_graph6(path(4))}\n{write_graph6(cycle(4))}\n")
+    checks = verify_order(GraphSource.graph6_file(str(p)))
+    assert {c.n for c in checks} == {4}
+    assert "dedge" in {c.name for c in checks}
+    assert all(c.passed for c in checks)
+
+
 def test_stream_in_builtin_range_degrades_that_order(tmp_path):
     from resolvability import write_graph6
     p = tmp_path / "n4.g6"

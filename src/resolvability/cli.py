@@ -9,8 +9,6 @@ checks pass, 1 input error, 2 verification failure.
 """
 
 import argparse
-import csv
-import dataclasses
 import io
 import json
 import sys
@@ -29,6 +27,7 @@ def _emit(rows, fmt, out, columns):
     if fmt == "json":
         text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
+        import csv  # here, so that the other formats do not pay its import
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")
         writer.writeheader()
@@ -151,10 +150,9 @@ def cmd_families(args):
 
 def cmd_extremal(args):
     lo, hi = _parse_range(args.range)
-    rows = [dataclasses.asdict(extremal_difference(args.xi1, args.xi2, source))
+    rows = [extremal_difference(args.xi1, args.xi2, source)._asdict()
             for source in sources(lo, hi, _parse_streams(args.stream))]
-    _emit(rows, args.format, args.out,
-          [f.name for f in dataclasses.fields(ExtremalReport)])
+    _emit(rows, args.format, args.out, list(ExtremalReport._fields))
     return 0
 
 

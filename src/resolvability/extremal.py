@@ -21,7 +21,7 @@ on that graph; it folds a graph6 stream, which yields every graph, by
 ``canon.canonical_form``.
 """
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from math import comb
 
 from .canon import _inverse, _search, adjacency, canonical_form
@@ -52,24 +52,16 @@ THEOREM_PAIRS = (
 )
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
-    xi1: str
-    xi2: str
-    n: int
-    max_diff: int
-    witness_graph6: str
-    graphs_scanned: int
+ExtremalReport = namedtuple(
+    "ExtremalReport", "xi1 xi2 n max_diff witness_graph6 graphs_scanned")
 
 
-@dataclass
-class GraphSource:
+class GraphSource(namedtuple("GraphSource", "kind n path",
+                             defaults=(None, None))):
     """Where graphs come from: the builtin class enumeration (n <= 8) or
-    a graph6 stream file."""
+    a graph6 stream file. ``kind`` is "enumeration" or "graph6"."""
 
-    kind: str  # "enumeration" | "graph6"
-    n: int = None
-    path: str = None
+    __slots__ = ()
 
     @classmethod
     def enumeration(cls, n):
@@ -242,12 +234,14 @@ def _class_stats(g):
         n, values, is_maximal_neighbour_graph(g), delta, is_path)
 
 
-@dataclass
-class SweepResult:
-    n: int
-    graphs_scanned: int
-    reports: dict  # (xi1, xi2) -> ExtremalReport
-    law_failures: list = field(default_factory=list)  # (graph6, message)
+class SweepResult(namedtuple("SweepResult",
+                             "n graphs_scanned reports law_failures")):
+    # reports: (xi1, xi2) -> ExtremalReport; law_failures: (graph6, message)
+    __slots__ = ()
+
+    def __new__(cls, n, graphs_scanned, reports, law_failures=None):
+        failures = [] if law_failures is None else law_failures
+        return super().__new__(cls, n, graphs_scanned, reports, failures)
 
 
 def sweep(source, pairs=THEOREM_PAIRS):

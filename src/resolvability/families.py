@@ -22,18 +22,29 @@ A family is its sets alone, in the order its builder documents. All
 set-building functions are pure functions of immutable inputs.
 """
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .graph import GraphError
 
 
-@dataclass(frozen=True)
 class SetFamily:
     """Ordered family of vertex subsets (bitmasks) over universe 0..n-1."""
 
-    n: int
-    sets: tuple
+    __slots__ = ("n", "sets", "__weakref__")
+
+    def __init__(self, n, sets):
+        self.n = n
+        self.sets = sets
+
+    def __eq__(self, other):
+        return (isinstance(other, SetFamily) and self.n == other.n
+                and self.sets == other.sets)
+
+    def __hash__(self):
+        return hash((self.n, self.sets))
+
+    def __repr__(self):
+        return f"SetFamily(n={self.n}, sets={self.sets!r})"
 
 
 def _require_adjacent(dist, u, v):

@@ -18,7 +18,7 @@ two-witness definition (``is_doubly_resolving``), before it leaves this
 module.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import families as fam
 from .graph import GraphError, all_pairs_distances, bits_list
@@ -49,11 +49,11 @@ _PIPELINE = {
 }
 
 
-@dataclass(frozen=True)
-class InvariantResult:
-    tag: str
-    value: int
-    witness: tuple  # sorted 0-based vertex indices
+class InvariantResult(namedtuple("InvariantResult", "tag value witness")):
+    """An invariant's value and witness, the sorted 0-based vertex
+    indices of a minimum hitting set."""
+
+    __slots__ = ()
 
     def witness_labels(self):
         return [v + 1 for v in self.witness]

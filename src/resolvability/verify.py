@@ -9,7 +9,7 @@ exact-equality and range claims degrade to their upper bounds, since
 the artifact cannot vouch that the stream is exhaustive.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import graph as gr
 from .extremal import THEOREM_PAIRS, sources, sweep
@@ -19,13 +19,9 @@ from .invariants import all_invariants
 from .graph import mask_of
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    n: int
-    statement: str
-    passed: bool
-    detail: str = ""
+class CheckResult(namedtuple("CheckResult", "name n statement passed detail",
+                             defaults=("",))):
+    __slots__ = ()
 
     def line(self):
         status = "PASS" if self.passed else "FAIL"

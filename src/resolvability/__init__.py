@@ -29,13 +29,11 @@ from .graph import (
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .families import (
     SetFamily,
-    doubly_resolves,
     edge_pair_family,
     family_strict,
     family_weak,
     is_doubly_resolving,
     vertex_pair_family,
-    w_sets,
 )
 from .hitting import (
     InfeasibleInstanceError,

@@ -45,6 +45,11 @@ def _emit(rows, fmt, out, columns):
                 "  ".join(str(row.get(c, "")).ljust(widths[c]) for c in columns)
             )
         text = "\n".join(line.rstrip() for line in lines) + "\n"
+    _write(text, out)
+
+
+def _write(text, out):
+    """Write ``text`` to the file ``out``, or to stdout if it is None."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -159,17 +164,16 @@ def cmd_extremal(args):
 def cmd_verify(args):
     lo, hi = _parse_range(args.range)
     checks = verify_theorems(lo, hi, _parse_streams(args.stream))
-    rows = [
-        {
-            "check": c.name, "n": c.n, "statement": c.statement,
-            "status": "PASS" if c.passed else "FAIL", "detail": c.detail,
-        }
-        for c in checks
-    ]
-    if args.format == "table" and not args.out:
-        for c in checks:
-            print(c.line())
+    if args.format == "table":
+        _write("".join(c.line() + "\n" for c in checks), args.out)
     else:
+        rows = [
+            {
+                "check": c.name, "n": c.n, "statement": c.statement,
+                "status": "PASS" if c.passed else "FAIL", "detail": c.detail,
+            }
+            for c in checks
+        ]
         _emit(rows, args.format, args.out,
               ["check", "n", "statement", "status", "detail"])
     failed = sum(1 for c in checks if not c.passed)

@@ -22,6 +22,7 @@ on that graph; it folds a graph6 stream, which yields every graph, by
 """
 
 from collections import namedtuple
+from functools import cache
 from math import comb
 
 from .canon import _inverse, _search, adjacency, canonical_form
@@ -140,10 +141,13 @@ def sources(lo, hi, streams=None):
             else GraphSource.enumeration(n) for n in range(lo, hi + 1)]
 
 
+@cache
 def _classes(n):
     """``{form: automorphisms}`` over the classes of connected graphs of
     order n: each class's canonical form, and automorphisms of the
-    form's graph (lists v -> image) that generate its group.
+    form's graph (lists v -> image) that generate its group. Cached per
+    order, so the sources of a range share one chain from order 1;
+    callers only read the dicts.
 
     Every connected graph of order n >= 2 loses a vertex and stays
     connected (a leaf of a spanning tree), so it is a class of order

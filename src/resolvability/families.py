@@ -1,30 +1,33 @@
-"""Distance-derived vertex sets and resolver families.
+"""Distance-derived resolver families, all built by one kernel.
 
-For each edge uv the strict sets W(u,v) = {w : d(u,w) < d(v,w)} and
-their complements Wbar(u,v) = {w : d(u,w) >= d(v,w)} drive the two
-hitting-set invariants. Pair families hold, for every unordered pair of
-items (vertices, edges, or both), the set of vertices that resolve the
-pair; minimum hitting sets of those families are the metric, edge
-metric and mixed metric dimensions. The mixed family is the vertex and
-edge pair families followed by the vertex-edge pairs, so
-``compose_mixed_family`` builds it from the other two without
-recomputing their sets. The psi family holds, for every vertex pair,
-the complements of the level sets of s -> d(u,s) - d(v,s); its minimum
-hitting sets are the minimum doubly resolving sets.
+Each distance row d(x, .) is packed into one int holding d(x, w) in
+byte w (a graph within the solver's 62-vertex universe has distances
+below 62, so a byte holds them with the offsets below). ``_pair_family``
+reads the set {w : byte w of a ^ b is non-zero} off a pair (a, b) of
+packed rows by one byte translation and one base-2 parse, with no loop
+over vertices, and every set of every family is that kernel on a pair
+of row combinations. With ONES the row holding 1 in every byte:
 
-The pair builders pack each distance row once into an int holding
-d(., w) in byte w (a graph within the solver's 62-vertex universe has
-distances below 62). The resolver set of two packed rows is then read
-off the bytes of their XOR, non-zero exactly where the rows differ, by
-one byte translation and one base-2 parse, with no loop over vertices.
+- vertex, edge and mixed pair families (beta, beta_E, beta_M): the
+  resolver set {w : d(x,w) != d(y,w)} of two items, read off their
+  rows; an edge uv has the row min(d(u,.), d(v,.)). The mixed family is
+  the vertex and edge pair families followed by the vertex-edge pairs,
+  so ``compose_mixed_family`` builds it from the other two;
+- weak family (mhs_<=): {Wbar(u,v), Wbar(v,u)} over the edges uv, with
+  Wbar(u,v) = {w : d(u,w) >= d(v,w)}. On an edge d(u,w) - d(v,w) is -1,
+  0 or 1, so Wbar(u,v) = {w : d(u,w) + 1 != d(v,w)}, read off
+  (row_u + ONES, row_v);
+- strict family (mhs_<): {W(u,v), W(v,u)}, with
+  W(u,v) = {w : d(u,w) < d(v,w)} the complement of Wbar(u,v);
+- psi family: byte s of z = row_u + 64 ONES - row_v is
+  d(u,s) - d(v,s) + 64, with no borrow, so the complement of the level
+  set of the value k - 64 is read off (z, k ONES).
 
 A family is its sets alone, in the order its builder documents. All
 set-building functions are pure functions of immutable inputs.
 """
 
 from itertools import combinations, product
-
-from .graph import GraphError
 
 
 class SetFamily:
@@ -47,54 +50,6 @@ class SetFamily:
         return f"SetFamily(n={self.n}, sets={self.sets!r})"
 
 
-def _require_adjacent(dist, u, v):
-    if u == v or dist[u][v] != 1:
-        raise GraphError(f"vertices v_{u + 1} and v_{v + 1} are not adjacent")
-
-
-def w_sets(dist, u, v):
-    """The five per-edge sets (W_uv, W_vu, Wbar_uv, Wbar_vu, uWv) as
-    bitmasks, where uWv is the set of vertices equidistant from u and v.
-
-    Requires uv to be an edge; d(u,v) = 1 certifies adjacency.
-    """
-    _require_adjacent(dist, u, v)
-    n = len(dist)
-    du, dv = dist[u], dist[v]
-    w_uv = w_vu = eq = 0
-    for w in range(n):
-        a, b = du[w], dv[w]
-        if a < b:
-            w_uv |= 1 << w
-        elif b < a:
-            w_vu |= 1 << w
-        else:
-            eq |= 1 << w
-    full = (1 << n) - 1
-    return w_uv, w_vu, full & ~w_uv, full & ~w_vu, eq
-
-
-def _w_family(g, dist, first):
-    """Sets ``w_sets(...)[first]`` and ``[first + 1]`` over all edges in
-    canonical order, the (u, v) set before the (v, u) set."""
-    sets = []
-    for u, v in g.edges():
-        sets.extend(w_sets(dist, u, v)[first:first + 2])
-    return SetFamily(g.n, tuple(sets))
-
-
-def family_strict(g, dist):
-    """Family {W_uv, W_vu} over all edges; its minimum hitting set size
-    is mhs_<(G)."""
-    return _w_family(g, dist, 0)
-
-
-def family_weak(g, dist):
-    """Family {Wbar_uv, Wbar_vu} over all edges; its minimum hitting set
-    size is mhs_<=(G)."""
-    return _w_family(g, dist, 2)
-
-
 # a bytes.translate table mapping byte 0 to "0" and every other byte to
 # "1": it turns the bytes of the XOR of two packed rows into the binary
 # text of their resolver set
@@ -107,11 +62,16 @@ def _packed_rows(rows):
     return [int.from_bytes(bytes(row), "little") for row in rows]
 
 
+def _ones(n):
+    """The packed row holding 1 in each of its n bytes."""
+    return int.from_bytes(b"\x01" * n, "little")
+
+
 def _pair_family(n, pairs):
-    """One resolver set {w : x[w] != y[w]} per pair (x, y) of packed
-    distance rows in ``pairs``, as a tuple in the order of ``pairs``.
-    Byte w of x ^ y is non-zero iff x and y differ at w, and big-endian
-    bytes put vertex n - 1 first, as base 2 reads it."""
+    """One set {w : byte w of x != byte w of y} per pair (x, y) of packed
+    rows in ``pairs``, as a tuple in the order of ``pairs``. Byte w of
+    x ^ y is non-zero iff x and y differ at w, and big-endian bytes put
+    vertex n - 1 first, as base 2 reads it."""
     return tuple([int((x ^ y).to_bytes(n, "big").translate(NONZERO), 2)
                   for x, y in pairs])
 
@@ -120,6 +80,30 @@ def _edge_distance_rows(g, dist):
     """Packed distance rows d(e, .) of the edges in canonical order,
     using d(e, w) = min(d(u, w), d(v, w))."""
     return _packed_rows(map(min, dist[u], dist[v]) for u, v in g.edges())
+
+
+def _weak_sets(g, dist):
+    """Wbar(u,v), then Wbar(v,u), for each edge uv in canonical order."""
+    rows = _packed_rows(dist)
+    ones = _ones(g.n)
+    return _pair_family(g.n, (
+        pair for u, v in g.edges()
+        for pair in ((rows[u] + ones, rows[v]), (rows[v] + ones, rows[u]))))
+
+
+def family_strict(g, dist):
+    """Family {W_uv, W_vu} over all edges in canonical order, the (u, v)
+    set before the (v, u) set; its minimum hitting set size is
+    mhs_<(G)."""
+    full = (1 << g.n) - 1
+    return SetFamily(g.n, tuple([full ^ s for s in _weak_sets(g, dist)]))
+
+
+def family_weak(g, dist):
+    """Family {Wbar_uv, Wbar_vu} over all edges in canonical order, the
+    (u, v) set before the (v, u) set; its minimum hitting set size is
+    mhs_<=(G)."""
+    return SetFamily(g.n, _weak_sets(g, dist))
 
 
 def vertex_pair_family(g, dist):
@@ -144,6 +128,19 @@ def compose_mixed_family(g, dist, vertex, edge):
     return SetFamily(g.n, vertex.sets + edge.sets + cross)
 
 
+def _psi_levels(n, rows):
+    """(z, k ONES) for each level set of s -> d(u,s) - d(v,s) with at
+    least two vertices, pair by pair, in order of its least vertex."""
+    ones = _ones(n)
+    shift = 64 * ones
+    for x, y in combinations(rows, 2):
+        z = x + shift - y
+        level = z.to_bytes(n, "little")
+        for k in dict.fromkeys(level):  # in order of first occurrence
+            if level.count(k) > 1:
+                yield z, k * ones
+
+
 def psi_family(g, dist):
     """Family whose minimum hitting sets are the minimum doubly resolving
     sets.
@@ -152,29 +149,14 @@ def psi_family(g, dist):
     non-constant on S, i.e. S lies inside none of its level sets C, i.e.
     S hits V - C. Level sets of one vertex only matter for |S| < 2, which
     the sets V - {s} rule out (a doubly resolving set has at least two
-    vertices), so the family is {V - C : C a level set with |C| >= 2 of
-    some pair} followed by {V - {s} : s in V}.
+    vertices), so the family is, for each pair u < v in turn, V - C for
+    each level set C with |C| >= 2 in order of its least vertex,
+    followed by {V - {s} : s in V}.
     """
     n = g.n
     full = (1 << n) - 1
-    sets = []
-    for u, v in combinations(range(n), 2):
-        du, dv = dist[u], dist[v]
-        classes = {}
-        for s in range(n):
-            key = du[s] - dv[s]
-            classes[key] = classes.get(key, 0) | 1 << s
-        for c in classes.values():
-            if c.bit_count() >= 2:
-                sets.append(full & ~c)
-    sets.extend(full & ~(1 << s) for s in range(n))
-    return SetFamily(n, tuple(sets))
-
-
-def doubly_resolves(dist, x, y, u, v):
-    """True iff the witness pair (x, y) doubly resolves (u, v), i.e.
-    d(u,x) - d(u,y) != d(v,x) - d(v,y)."""
-    return dist[u][x] - dist[u][y] != dist[v][x] - dist[v][y]
+    return SetFamily(n, _pair_family(n, _psi_levels(n, _packed_rows(dist)))
+                     + tuple([full ^ 1 << s for s in range(n)]))
 
 
 def is_doubly_resolving(dist, members):

@@ -1,6 +1,6 @@
 import random
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -86,6 +86,62 @@ def mixed_pair_family(g, dist):
     vertex and edge pair families, then the vertex-edge pairs."""
     return compose_mixed_family(
         g, dist, vertex_pair_family(g, dist), edge_pair_family(g, dist))
+
+
+def w_sets(dist, u, v):
+    """The five sets (W_uv, W_vu, Wbar_uv, Wbar_vu, uWv) of the edge uv as
+    bitmasks, uWv being the vertices equidistant from u and v, by
+    comparing d(u, w) with d(v, w) vertex by vertex: the definitional
+    reference for the strict and weak families."""
+    n = len(dist)
+    du, dv = dist[u], dist[v]
+    w_uv = w_vu = eq = 0
+    for w in range(n):
+        a, b = du[w], dv[w]
+        if a < b:
+            w_uv |= 1 << w
+        elif b < a:
+            w_vu |= 1 << w
+        else:
+            eq |= 1 << w
+    full = (1 << n) - 1
+    return w_uv, w_vu, full & ~w_uv, full & ~w_vu, eq
+
+
+def reference_strict(g, dist):
+    """W(u,v), then W(v,u), for each edge uv in canonical order."""
+    return tuple(s for u, v in g.edges() for s in w_sets(dist, u, v)[:2])
+
+
+def reference_weak(g, dist):
+    """Wbar(u,v), then Wbar(v,u), for each edge uv in canonical order."""
+    return tuple(s for u, v in g.edges() for s in w_sets(dist, u, v)[2:4])
+
+
+def reference_psi(g, dist):
+    """The psi family by its definition: for each pair u < v, V - C for
+    each level set C of s -> d(u,s) - d(v,s) with |C| >= 2, in order of
+    its least vertex; then V - {s} for each vertex s."""
+    n = g.n
+    full = (1 << n) - 1
+    sets = []
+    for u, v in combinations(range(n), 2):
+        du, dv = dist[u], dist[v]
+        classes = {}
+        for s in range(n):
+            key = du[s] - dv[s]
+            classes[key] = classes.get(key, 0) | 1 << s
+        for c in classes.values():
+            if c.bit_count() >= 2:
+                sets.append(full & ~c)
+    sets.extend(full & ~(1 << s) for s in range(n))
+    return tuple(sets)
+
+
+def doubly_resolves(dist, x, y, u, v):
+    """True iff the witness pair (x, y) doubly resolves (u, v), i.e.
+    d(u,x) - d(u,y) != d(v,x) - d(v,y)."""
+    return dist[u][x] - dist[u][y] != dist[v][x] - dist[v][y]
 
 
 def random_hitting_instance(rng, max_universe=16, max_sets=24):

@@ -15,6 +15,7 @@ from resolvability import (
     complete,
     complete_bipartite,
     cycle,
+    family_strict,
     family_weak,
     invariant_values,
     is_maximal_neighbour_graph,
@@ -25,14 +26,17 @@ from resolvability import (
     star,
     t_prime_tree,
     verify_hitting,
-    w_sets,
     write_graph6,
 )
 from resolvability.graph import mask_of
 from resolvability.families import edge_pair_family
 
 from conftest import (
-    random_connected_graph, random_hitting_instance, slot_unpack_enumeration)
+    random_connected_graph,
+    random_hitting_instance,
+    slot_unpack_enumeration,
+    w_sets,
+)
 
 _SEEN_GRAPHS = []  # every graph touched by criteria 1-7, for criterion 8
 
@@ -151,14 +155,22 @@ def test_criterion_4_maximal_neighbour_biconditional(theorem_sweeps):
 
 
 def _w_identity_checks(g, dist, failures):
+    # the identities hold for the definitional W sets, and the strict
+    # and weak families hold exactly those sets, edge by edge
     n = g.n
     full = (1 << n) - 1
+    strict, weak = [], []
     for u, v in g.edges():
         w_uv, w_vu, wb_uv, wb_vu, eq = w_sets(dist, u, v)
         if (w_uv & w_vu or wb_uv | wb_vu != full
                 or eq != wb_uv & ~w_vu or eq != wb_vu & ~w_uv):
             failures.append(f"W identities on {write_graph6(g)}")
             return
+        strict += (w_uv, w_vu)
+        weak += (wb_uv, wb_vu)
+    if (family_strict(g, dist).sets != tuple(strict)
+            or family_weak(g, dist).sets != tuple(weak)):
+        failures.append(f"W-set families on {write_graph6(g)}")
 
 
 def _value_checks(g, v, failures):
@@ -203,8 +215,9 @@ def test_criterion_5_structural_invariants(connected_classes):
         if len(failures) > 3:
             break
     _report(5, not failures,
-            f"W-set identities, Lemma 1 chain, Property 1, log bound and "
-            f"doub conditions on all connected n<=6 plus 1000 random n<=12"
+            f"W-set identities and families, Lemma 1 chain, Property 1, "
+            f"log bound and doub conditions on all connected n<=6 plus "
+            f"1000 random n<=12"
             f"{'; ' + str(failures[:3]) if failures else ''}")
 
 

@@ -314,6 +314,16 @@ class TestVerify:
         assert "[PASS]" in out and "[FAIL]" not in out
         assert "checks passed" in err
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_out_file_equals_stdout(self, capsys, tmp_path, fmt):
+        code, out, _ = run(capsys, "verify", "3..4", "--format", fmt)
+        assert code == 0
+        p = tmp_path / f"verify.{fmt}"
+        code, written, _ = run(capsys, "verify", "3..4", "--format", fmt,
+                               "--out", str(p))
+        assert code == 0 and written == ""
+        assert p.read_text(encoding="utf-8") == out
+
     def test_stream_argument(self, capsys, tmp_path):
         from resolvability import write_graph6
         p = tmp_path / "n4.g6"

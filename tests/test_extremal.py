@@ -151,6 +151,24 @@ class TestEnumeration:
         assert sum(factorial(n) // _group_order(n, gens)
                    for gens in classes.values()) == A001187[n]
 
+    def test_orders_share_one_chain(self, monkeypatch):
+        # the sources of orders 3..7 build the class chain from order 1
+        # once: 4,159 canonical searches, where one chain per order
+        # makes 4,616
+        calls = []
+        search = extremal._search
+
+        def counted(*args):
+            calls.append(args[0])
+            return search(*args)
+
+        monkeypatch.setattr(extremal, "_search", counted)
+        extremal._classes.cache_clear()
+        for source in sources(3, 7):
+            for _ in source.graphs():
+                pass
+        assert len(calls) == 4159
+
     def test_labeled_count_recurrence(self):
         assert {n: extremal._labeled_connected(n)
                 for n in range(2, 10)} == A001187

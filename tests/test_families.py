@@ -5,12 +5,10 @@ from itertools import combinations, product
 import pytest
 
 from resolvability import (
-    GraphError,
     all_pairs_distances,
     complete,
     complete_bipartite,
     cycle,
-    doubly_resolves,
     edge_pair_family,
     family_strict,
     family_weak,
@@ -19,13 +17,21 @@ from resolvability import (
     path,
     star,
     vertex_pair_family,
-    w_sets,
 )
+from resolvability.extremal import GraphSource
 from resolvability.families import compose_mixed_family, psi_family
 from resolvability.graph import bits_list, mask_of
 
 from conftest import (
-    mixed_pair_family, random_connected_graph, slot_unpack_enumeration)
+    doubly_resolves,
+    mixed_pair_family,
+    random_connected_graph,
+    reference_psi,
+    reference_strict,
+    reference_weak,
+    slot_unpack_enumeration,
+    w_sets,
+)
 
 
 def _dist(g):
@@ -58,11 +64,6 @@ class TestWSets:
         assert set(bits_list(w_uv)) == {0} | ({2, 3, 4, 5} - {3})
         assert set(bits_list(w_vu)) == {3, 1}
 
-    def test_non_adjacent_rejected(self):
-        d = _dist(path(4))
-        with pytest.raises(GraphError):
-            w_sets(d, 0, 2)
-
     @pytest.mark.parametrize("n", range(2, 7))
     def test_identities_exhaustive(self, n):
         for g in slot_unpack_enumeration(n):
@@ -87,6 +88,43 @@ class TestWSets:
                 assert w_uv & w_vu == 0
                 assert wb_uv | wb_vu == full
                 assert eq == wb_uv & ~w_vu == wb_vu & ~w_uv
+
+
+_each_reference = pytest.mark.parametrize("build, reference", [
+    pytest.param(family_strict, reference_strict, id="strict"),
+    pytest.param(family_weak, reference_weak, id="weak"),
+    pytest.param(psi_family, reference_psi, id="psi"),
+])
+
+
+class TestDefinitionalReference:
+    # the packed-row builders give the sets of the definitional builders
+    # in conftest, in the same order
+
+    @_each_reference
+    def test_every_class_up_to_7(self, build, reference):
+        count = 0
+        for n in range(2, 8):
+            for g in GraphSource.enumeration(n).graphs():
+                d = _dist(g)
+                assert build(g, d).sets == reference(g, d)
+                count += 1
+        assert count == 995  # OEIS A001349, n = 2..7
+
+    @_each_reference
+    def test_random_up_to_20(self, build, reference):
+        rng = random.Random(2025)
+        for _ in range(200):
+            g = random_connected_graph(rng, n_max=20)
+            d = _dist(g)
+            assert build(g, d).sets == reference(g, d)
+
+    @_each_reference
+    def test_largest_distances(self, build, reference):
+        # P_62 has distances up to 61, the most a packed byte meets
+        for g in (path(62), cycle(62)):
+            d = _dist(g)
+            assert build(g, d).sets == reference(g, d)
 
 
 class TestEdgeFamilies:

@@ -269,19 +269,28 @@ class TestPipeline:
     def test_pair_sets_built_once(self, monkeypatch):
         # all six invariants build the vertex and edge pair families once;
         # beta_M's family reuses them and computes only the vertex-edge
-        # pairs, so every pair resolver set is computed exactly once
+        # pairs, so every pair resolver set is computed exactly once. The
+        # W-set and psi builders share the kernel, so only its calls from
+        # the three pair builders are counted
         calls = []
-        for name in ("vertex_pair_family", "edge_pair_family"):
+        active = []
+        for name in ("vertex_pair_family", "edge_pair_family",
+                     "compose_mixed_family"):
             def counted(*args, _name=name, _f=getattr(families, name)):
                 calls.append(_name)
-                return _f(*args)
+                active.append(_name)
+                try:
+                    return _f(*args)
+                finally:
+                    active.pop()
             monkeypatch.setattr(families, name, counted)
         built = []
         pair_family = families._pair_family
 
         def counted_pair_family(*args):
             result = pair_family(*args)
-            built.append(len(result))
+            if active:
+                built.append(len(result))
             return result
 
         monkeypatch.setattr(families, "_pair_family", counted_pair_family)
@@ -291,7 +300,8 @@ class TestPipeline:
             built.clear()
             all_invariants(g)
             n, m = g.n, g.num_edges()
-            assert sorted(calls) == ["edge_pair_family", "vertex_pair_family"]
+            assert sorted(calls) == ["compose_mixed_family",
+                                     "edge_pair_family", "vertex_pair_family"]
             assert sum(built) == comb(n, 2) + comb(m, 2) + n * m
 
     def test_families_freed_after_last_use(self, monkeypatch):

@@ -6,7 +6,7 @@ dimension), mhs_strict (minimum hitting set of the strict W-set
 family), mhs_weak (minimum hitting set of the complement family, a
 lower bound for psi). All computation is exact integer arithmetic on
 desk-scale graphs (n <= 62 for I/O, exhaustive enumeration of the
-isomorphism classes to n = 8).
+isomorphism classes to n = 9).
 """
 
 from .graph import (
@@ -37,7 +37,6 @@ from .families import (
 )
 from .hitting import (
     InfeasibleInstanceError,
-    brute_force_min_hitting,
     min_hitting_exact,
     verify_hitting,
 )

@@ -1,7 +1,7 @@
 """Exhaustive class sources and extremal-difference verification.
 
 ``GraphSource.enumeration(n)`` yields the connected graphs of order
-2 <= n <= 8 up to isomorphism, one per class: the graph of the class's
+2 <= n <= 9 up to isomorphism, one per class: the graph of the class's
 canonical form (``canon.canonical_form``), decoded by ``canon``, which
 owns the edge-mask layout, in increasing form order.
 That graph is the class's first graph in the labeled stream, every
@@ -9,7 +9,7 @@ labeled connected graph of order n by increasing edge mask. The classes
 of order n come from those of order n - 1 by adding one vertex (after
 McKay, J. Algorithms 26 (1998)). ``sources`` serves each order n >= 2 of
 a sweep from a named graph6 stream (one graph per line; required above
-8) or else the builtin enumeration; a stream's exhaustiveness is the
+9) or else the builtin enumeration; a stream's exhaustiveness is the
 caller's claim, not ours.
 
 ``sweep`` is one loop over ``GraphSource.graphs()`` for either kind of
@@ -29,16 +29,16 @@ from .canon import _inverse, _search, adjacency, canonical_form
 from .graph import (
     Graph,
     GraphError,
+    _reachable,
     is_connected,
     is_maximal_neighbour_graph,
     iter_bits,
-    mask_of,
     max_degree,
 )
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .invariants import check_tags, invariant_values
 
-MAX_BUILTIN_N = 8
+MAX_BUILTIN_N = 9
 
 # Difference pairs appearing in the verification suite.
 THEOREM_PAIRS = (
@@ -59,7 +59,7 @@ ExtremalReport = namedtuple(
 
 class GraphSource(namedtuple("GraphSource", "kind n path",
                              defaults=(None, None))):
-    """Where graphs come from: the builtin class enumeration (n <= 8) or
+    """Where graphs come from: the builtin class enumeration (n <= 9) or
     a graph6 stream file. ``kind`` is "enumeration" or "graph6"."""
 
     __slots__ = ()
@@ -123,7 +123,7 @@ def sources(lo, hi, streams=None):
     """One GraphSource per order lo..hi, in order: the graph6 file that
     ``streams`` (order -> path) names for an order, else the builtin
     enumeration. Raises GraphError before any graph is read if lo < 2, a
-    stream's order lies outside lo..hi or an order above 8 has no
+    stream's order lies outside lo..hi or an order above 9 has no
     stream."""
     if lo < 2:
         raise GraphError(
@@ -156,6 +156,14 @@ def _classes(n):
     child on S onto the child on S', so one S per orbit of the parent's
     group reaches every class, and keeping only new forms keeps each
     class once.
+
+    A child is searched only if its new vertex has the largest key
+    (``_new_vertex_leads``) among its non-cut vertices. That loses no
+    class: let v* be a non-cut vertex of G with the largest key. G - v*
+    is connected, so its class is a parent, and the orbit
+    representative of N(v*)'s image there builds a child isomorphic to
+    G, with the new vertex in the place of v*. Keys and cut vertices are
+    invariant under isomorphism, so that child passes.
     """
     if n == 1:
         return {0: []}
@@ -164,7 +172,10 @@ def _classes(n):
         adj = adjacency(n - 1, parent)
         for s in _subset_orbits(n - 1, gens):
             child = [a | (s >> v & 1) << n - 1 for v, a in enumerate(adj)]
-            form, order, autos = _search(n, child + [s])
+            child.append(s)
+            if not _new_vertex_leads(child):
+                continue
+            form, order, autos = _search(n, child)
             if form not in out:
                 # vertex order[j] of the child is vertex j of the form's graph
                 pos = _inverse(order)
@@ -172,9 +183,40 @@ def _classes(n):
     return out
 
 
+def _new_vertex_leads(adj):
+    """True iff no non-cut vertex of the connected graph ``adj`` has a
+    larger key than its last vertex, which is not a cut vertex. The key
+    of a vertex is (degree, sorted degrees of its neighbours)."""
+    deg = [a.bit_count() for a in adj]
+    last = len(adj) - 1
+    top = deg[last]
+    top_nbrs = None
+    for v in range(last):
+        if deg[v] < top:
+            continue
+        if deg[v] == top:
+            if top_nbrs is None:
+                top_nbrs = sorted(deg[w] for w in iter_bits(adj[last]))
+            if sorted(deg[w] for w in iter_bits(adj[v])) <= top_nbrs:
+                continue
+        rest = (1 << last + 1) - 1 ^ 1 << v
+        if _reachable(adj, 1 << last, 1 << v) == rest:
+            return False
+    return True
+
+
 def _subset_orbits(m, gens):
     """Yield the least member of each orbit of the nonempty subsets of
-    0..m-1 under the group that the permutations ``gens`` generate."""
+    0..m-1 under the group that the permutations ``gens`` generate. Each
+    generator's image of every subset is tabled first, a vertex at a
+    time."""
+    images = []  # per generator, the image of every subset
+    for g in gens:
+        image = [0]
+        for v in range(m):
+            bit = 1 << g[v]
+            image += [x | bit for x in image]  # subsets holding v
+        images.append(image)
     seen = bytearray(1 << m)
     for s in range(1, 1 << m):
         if seen[s]:
@@ -182,11 +224,11 @@ def _subset_orbits(m, gens):
         seen[s] = 1
         todo = [s]
         for x in todo:  # todo grows as the orbit fills
-            for g in gens:
-                image = mask_of(g[v] for v in iter_bits(x))
-                if not seen[image]:
-                    seen[image] = 1
-                    todo.append(image)
+            for image in images:
+                y = image[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    todo.append(y)
         yield s
 
 

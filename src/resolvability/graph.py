@@ -107,12 +107,14 @@ def from_edge_list(n, edges):
 def is_connected(g):
     """True iff ``g`` is connected (an n=1 graph is connected)."""
     full = (1 << g.n) - 1
-    return _reachable_from_zero(g.adj) == full
+    return _reachable(g.adj) == full
 
 
-def _reachable_from_zero(adj):
-    seen = 1
-    frontier = 1
+def _reachable(adj, start=1, blocked=0):
+    """The vertices reachable from the vertex set ``start`` (a bitmask;
+    vertex 0 by default) by paths that avoid the vertex set ``blocked``."""
+    seen = start | blocked
+    frontier = start
     while frontier:
         nxt = 0
         f = frontier
@@ -122,7 +124,7 @@ def _reachable_from_zero(adj):
             nxt |= adj[v]
         frontier = nxt & ~seen
         seen |= nxt
-    return seen
+    return seen & ~blocked
 
 
 def all_pairs_distances(g):

@@ -6,9 +6,10 @@ import pytest
 
 from resolvability import (
     edge_pair_family, from_edge_list, invariant_values, vertex_pair_family)
-from resolvability.canon import canonical_form
+from resolvability.canon import adjacency, canonical_form
 from resolvability.extremal import THEOREM_PAIRS, GraphSource, sweep
 from resolvability.families import compose_mixed_family
+from resolvability.hitting import verify_hitting
 
 
 def random_connected_graph(rng, n_min=2, n_max=12):
@@ -81,6 +82,23 @@ def brute_force_classes(n, connected=True):
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def unfiltered_class_forms(n):
+    """The canonical forms of the connected graphs of order n, grown
+    from those of order n - 1 by a new vertex on every nonempty
+    neighbourhood, each child keyed by ``canonical_form``: the class
+    chain with no subset orbits and no prefilter."""
+    if n == 1:
+        return frozenset({0})
+    forms = set()
+    for parent in unfiltered_class_forms(n - 1):
+        adj = adjacency(n - 1, parent)
+        for s in range(1, 1 << n - 1):
+            child = [a | (s >> v & 1) << n - 1 for v, a in enumerate(adj)]
+            forms.add(canonical_form(n, child + [s]))
+    return frozenset(forms)
+
+
 def mixed_pair_family(g, dist):
     """The mixed pair family as the beta_M pipeline builds it: the
     vertex and edge pair families, then the vertex-edge pairs."""
@@ -142,6 +160,19 @@ def doubly_resolves(dist, x, y, u, v):
     """True iff the witness pair (x, y) doubly resolves (u, v), i.e.
     d(u,x) - d(u,y) != d(v,x) - d(v,y)."""
     return dist[u][x] - dist[u][y] != dist[v][x] - dist[v][y]
+
+
+def brute_force_min_hitting(n, sets):
+    """Independent oracle: enumerate subsets by cardinality then lex
+    order and return the first hitting set's bitmask. Exponential."""
+    for k in range(0, n + 1):
+        for combo in combinations(range(n), k):
+            mask = 0
+            for v in combo:
+                mask |= 1 << v
+            if verify_hitting(sets, mask):
+                return mask
+    raise AssertionError("full universe must hit every non-empty set")
 
 
 def random_hitting_instance(rng, max_universe=16, max_sets=24):

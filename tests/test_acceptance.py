@@ -11,7 +11,6 @@ import time
 from resolvability import (
     all_invariants,
     all_pairs_distances,
-    brute_force_min_hitting,
     complete,
     complete_bipartite,
     cycle,
@@ -30,8 +29,10 @@ from resolvability import (
 )
 from resolvability.graph import mask_of
 from resolvability.families import edge_pair_family
+from resolvability.hitting import _branch_and_bound
 
 from conftest import (
+    brute_force_min_hitting,
     random_connected_graph,
     random_hitting_instance,
     slot_unpack_enumeration,
@@ -227,13 +228,15 @@ def test_criterion_6_solver_oracle_equivalence():
     for i in range(1000):
         n, sets = random_hitting_instance(rng, max_universe=16, max_sets=24)
         oracle = brute_force_min_hitting(n, sets)
+        if min_hitting_exact(n, sets) != oracle:
+            mismatches.append((i, "min_hitting_exact"))
         for use_reductions in (True, False):
-            sol = min_hitting_exact(n, sets, use_reductions=use_reductions)
-            if sol != oracle:
+            if _branch_and_bound(n, sets, use_reductions) != oracle:
                 mismatches.append((i, use_reductions))
     _report(6, not mismatches,
-            f"exact solver vs brute-force oracle on 1000 random instances, "
-            f"reductions on and off"
+            f"exact solvers vs brute-force oracle on 1000 random instances: "
+            f"min_hitting_exact, and the branch and bound with reductions "
+            f"on and off"
             f"{'; ' + str(mismatches[:3]) if mismatches else ''}")
 
 

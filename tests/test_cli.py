@@ -233,8 +233,8 @@ class TestExtremal:
         assert err == (f"error: no sweep of order {argv[0][0]}: invariants "
                        f"are defined for n >= 2\n")
 
-    def test_stream_required_above_8(self, capsys):
-        code, _, err = run(capsys, "extremal", "psi", "beta_E", "9")
+    def test_stream_required_above_9(self, capsys):
+        code, _, err = run(capsys, "extremal", "psi", "beta_E", "10")
         assert code == 1
         assert "stream" in err
 
@@ -245,7 +245,7 @@ class TestExtremal:
             raise AssertionError("swept an order before checking every source")
 
         monkeypatch.setattr(cli, "extremal_difference", no_sweep)
-        code, _, err = run(capsys, "extremal", "psi", "beta_E", "5..9")
+        code, _, err = run(capsys, "extremal", "psi", "beta_E", "5..10")
         assert code == 1
         assert "stream" in err
 
@@ -363,7 +363,7 @@ class TestVerify:
         assert f"{p}, line 1: graph of order 7 in a stream of order 8" in err
 
     def test_missing_stream_for_large_n(self, capsys):
-        code, _, err = run(capsys, "verify", "9..9")
+        code, _, err = run(capsys, "verify", "10..10")
         assert code == 1
         assert "stream" in err
 

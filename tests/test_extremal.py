@@ -36,6 +36,7 @@ from conftest import (
     brute_force_classes,
     random_connected_graph,
     slot_unpack_enumeration,
+    unfiltered_class_forms,
 )
 
 
@@ -138,9 +139,15 @@ class TestEnumeration:
         assert len(set(forms)) == len(forms) == A001349[5]
 
     def test_out_of_range(self):
-        for n in (1, 9):
-            with pytest.raises(GraphError, match="2 <= n <= 8"):
+        for n in (1, 10):
+            with pytest.raises(GraphError, match="2 <= n <= 9"):
                 GraphSource.enumeration(n)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_prefilter_keeps_every_class(self, n):
+        # the forms equal those of the chain with no subset orbits and
+        # no largest-key prefilter
+        assert set(extremal._classes(n)) == unfiltered_class_forms(n)
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_class_counts_and_groups(self, n):
@@ -153,8 +160,7 @@ class TestEnumeration:
 
     def test_orders_share_one_chain(self, monkeypatch):
         # the sources of orders 3..7 build the class chain from order 1
-        # once: 4,159 canonical searches, where one chain per order
-        # makes 4,616
+        # once: 1,046 canonical searches, as many as _classes(7) alone
         calls = []
         search = extremal._search
 
@@ -167,7 +173,10 @@ class TestEnumeration:
         for source in sources(3, 7):
             for _ in source.graphs():
                 pass
-        assert len(calls) == 4159
+        assert len(calls) == 1046
+        extremal._classes.cache_clear()
+        extremal._classes(7)
+        assert len(calls) == 2 * 1046
 
     def test_labeled_count_recurrence(self):
         assert {n: extremal._labeled_connected(n)
@@ -295,8 +304,8 @@ class TestSources:
 
     def test_order_without_source(self):
         with pytest.raises(GraphError, match="builtin enumeration supports "
-                           "2 <= n <= 8; use a graph6 stream for n = 9"):
-            sources(7, 10, {10: "n10.g6"})
+                           "2 <= n <= 9; use a graph6 stream for n = 10"):
+            sources(7, 11, {11: "n11.g6"})
 
     @pytest.mark.parametrize("lo,streams", [
         (1, {}), (0, {}), (0, {0: "n0.g6"}), (1, {3: "n3.g6"})])

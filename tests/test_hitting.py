@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from resolvability import (
     InfeasibleInstanceError,
     all_pairs_distances,
-    brute_force_min_hitting,
     complete,
     edge_pair_family,
     family_strict,
@@ -18,12 +17,18 @@ from resolvability import (
     verify_hitting,
     vertex_pair_family,
 )
+from resolvability.extremal import GraphSource
 from resolvability.families import psi_family
 from resolvability.graph import bits_list, mask_of
-from resolvability.hitting import _reduce
+from resolvability.hitting import (
+    SMALL_UNIVERSE, _branch_and_bound, _reduce, small_min_hitting)
 
 from conftest import (
-    mixed_pair_family, random_connected_graph, random_hitting_instance)
+    brute_force_min_hitting,
+    mixed_pair_family,
+    random_connected_graph,
+    random_hitting_instance,
+)
 
 
 class TestVerify:
@@ -93,9 +98,10 @@ class TestOracleEquivalence:
         for _ in range(300):
             n, sets = random_hitting_instance(rng)
             oracle = brute_force_min_hitting(n, sets)
+            assert min_hitting_exact(n, sets) == oracle  # both lex-minimal
             for use_reductions in (True, False):
-                sol = min_hitting_exact(n, sets, use_reductions=use_reductions)
-                assert sol == oracle  # both lex-minimal
+                sol = _branch_and_bound(n, sets, use_reductions)
+                assert sol == oracle
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -129,10 +135,50 @@ class TestResolverFamilies:
             g = random_connected_graph(rng, n_min=4, n_max=9)
             sets = builder(g, all_pairs_distances(g)).sets
             oracle = brute_force_min_hitting(g.n, sets)
+            assert small_min_hitting(g.n, sets) == oracle
             for use_reductions in (True, False):
-                sol = min_hitting_exact(
-                    g.n, sets, use_reductions=use_reductions)
-                assert sol == oracle
+                assert _branch_and_bound(g.n, sets, use_reductions) == oracle
+
+
+class TestSmallMinHitting:
+    def test_matches_branch_and_bound_on_class_families(self):
+        # every non-empty family of every class with n <= 7: the six
+        # families of 995 classes, less P_2's empty edge family
+        checked = 0
+        for n in range(2, 8):
+            for g in GraphSource.enumeration(n).graphs():
+                dist = all_pairs_distances(g)
+                for builder in RESOLVER_BUILDERS:
+                    sets = builder(g, dist).sets
+                    if sets:
+                        assert (small_min_hitting(n, sets)
+                                == _branch_and_bound(n, sets))
+                        checked += 1
+        assert checked == 5969
+
+    def test_matches_brute_force_on_random_families(self):
+        # 1 <= n <= 9, with repeated sets and empty families
+        rng = random.Random(9)
+        for _ in range(1200):
+            n = rng.randint(1, SMALL_UNIVERSE)
+            sets = []
+            for _ in range(rng.randint(0, 30)):
+                if sets and rng.random() < 0.3:
+                    sets.append(rng.choice(sets))
+                else:
+                    sets.append(rng.getrandbits(n) or 1 << rng.randrange(n))
+            assert small_min_hitting(n, sets) == brute_force_min_hitting(
+                n, sets)
+
+    def test_empty_family(self):
+        for n in range(SMALL_UNIVERSE + 1):
+            assert small_min_hitting(n, ()) == 0
+
+    def test_checks_instance(self):
+        with pytest.raises(InfeasibleInstanceError):
+            small_min_hitting(4, (0b1, 0))
+        with pytest.raises(ValueError, match="exceeds 9"):
+            small_min_hitting(SMALL_UNIVERSE + 1, (1,))
 
 
 def _reduce_by_comparison(sets):

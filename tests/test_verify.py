@@ -136,7 +136,7 @@ def test_missing_stream_fails_before_any_sweep(monkeypatch):
 
     monkeypatch.setattr(verify, "sweep", no_sweep)
     with pytest.raises(GraphError, match="stream"):
-        verify_theorems(3, 9)
+        verify_theorems(3, 10)
 
 
 def test_out_of_range_stream_fails_before_any_sweep(monkeypatch):

@@ -61,15 +61,20 @@ class TestExact:
         assert bits_list(sol) == tuple(range(1, n))
 
     def test_empty_family(self):
-        assert min_hitting_exact(10, ()) == 0
+        # both solvers: subset tables for n <= 9, branch and bound above
+        for n in range(SMALL_UNIVERSE + 2):
+            assert min_hitting_exact(n, ()) == 0
 
     def test_empty_set_infeasible(self):
-        with pytest.raises(InfeasibleInstanceError):
-            min_hitting_exact(4, (0b1, 0))
+        for n in (4, SMALL_UNIVERSE + 1):
+            with pytest.raises(InfeasibleInstanceError):
+                min_hitting_exact(n, (0b1, 0))
 
     def test_universe_cap(self):
         with pytest.raises(ValueError):
             min_hitting_exact(63, (1,))
+        with pytest.raises(ValueError, match="exceeds 9"):
+            small_min_hitting(SMALL_UNIVERSE + 1, (1,))
 
     def test_lexicographic_witness(self):
         # optima are all {a, b} with a in {0,1}, b in {2,3}; the
@@ -169,16 +174,6 @@ class TestSmallMinHitting:
                     sets.append(rng.getrandbits(n) or 1 << rng.randrange(n))
             assert small_min_hitting(n, sets) == brute_force_min_hitting(
                 n, sets)
-
-    def test_empty_family(self):
-        for n in range(SMALL_UNIVERSE + 1):
-            assert small_min_hitting(n, ()) == 0
-
-    def test_checks_instance(self):
-        with pytest.raises(InfeasibleInstanceError):
-            small_min_hitting(4, (0b1, 0))
-        with pytest.raises(ValueError, match="exceeds 9"):
-            small_min_hitting(SMALL_UNIVERSE + 1, (1,))
 
 
 def _reduce_by_comparison(sets):

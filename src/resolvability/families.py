@@ -5,7 +5,7 @@ byte w (a graph within the solver's 62-vertex universe has distances
 below 62, so a byte holds them with the offsets below). ``_pair_family``
 reads the set {w : byte w of a ^ b is non-zero} off a pair (a, b) of
 packed rows by one byte translation and one base-2 parse, with no loop
-over vertices, and every set of every family is that kernel on a pair
+over vertices, and every family's sets come from that kernel on pairs
 of row combinations. With ONES the row holding 1 in every byte:
 
 - vertex, edge and mixed pair families (beta, beta_E, beta_M): the
@@ -18,7 +18,8 @@ of row combinations. With ONES the row holding 1 in every byte:
   0 or 1, so Wbar(u,v) = {w : d(u,w) + 1 != d(v,w)}, read off
   (row_u + ONES, row_v);
 - strict family (mhs_<): {W(u,v), W(v,u)}, with
-  W(u,v) = {w : d(u,w) < d(v,w)} the complement of Wbar(u,v);
+  W(u,v) = {w : d(u,w) < d(v,w)} the complement of Wbar(u,v), so it
+  is the weak family with each set complemented;
 - psi family: byte s of z = row_u + 64 ONES - row_v is
   d(u,s) - d(v,s) + 64, with no borrow, so the complement of the level
   set of the value k - 64 is read off (z, k ONES).
@@ -82,28 +83,24 @@ def _edge_distance_rows(g, dist):
     return _packed_rows(map(min, dist[u], dist[v]) for u, v in g.edges())
 
 
-def _weak_sets(g, dist):
-    """Wbar(u,v), then Wbar(v,u), for each edge uv in canonical order."""
-    rows = _packed_rows(dist)
-    ones = _ones(g.n)
-    return _pair_family(g.n, (
-        pair for u, v in g.edges()
-        for pair in ((rows[u] + ones, rows[v]), (rows[v] + ones, rows[u]))))
-
-
-def family_strict(g, dist):
-    """Family {W_uv, W_vu} over all edges in canonical order, the (u, v)
-    set before the (v, u) set; its minimum hitting set size is
-    mhs_<(G)."""
-    full = (1 << g.n) - 1
-    return SetFamily(g.n, tuple([full ^ s for s in _weak_sets(g, dist)]))
-
-
 def family_weak(g, dist):
     """Family {Wbar_uv, Wbar_vu} over all edges in canonical order, the
     (u, v) set before the (v, u) set; its minimum hitting set size is
     mhs_<=(G)."""
-    return SetFamily(g.n, _weak_sets(g, dist))
+    rows = _packed_rows(dist)
+    ones = _ones(g.n)
+    return SetFamily(g.n, _pair_family(g.n, (
+        pair for u, v in g.edges()
+        for pair in ((rows[u] + ones, rows[v]), (rows[v] + ones, rows[u])))))
+
+
+def family_strict(g, dist, weak):
+    """Family {W_uv, W_vu} over all edges in canonical order, the (u, v)
+    set before the (v, u) set; its minimum hitting set size is
+    mhs_<(G). On an edge W(u,v) is the complement of Wbar(u,v), so the
+    sets are those of g's built weak family, each complemented."""
+    full = (1 << g.n) - 1
+    return SetFamily(g.n, tuple([full ^ s for s in weak.sets]))
 
 
 def vertex_pair_family(g, dist):

@@ -2,20 +2,21 @@
 
 Every invariant is one pipeline: distance rows, then a set family, then
 the exact hitting-set solver, then a witness check. ``_PIPELINE`` maps
-each tag to the function that builds its family, the tags whose families
-that function reuses, and any check beyond hitting the family.
-mhs_strict and mhs_weak are minimum hitting sets of the strict/weak
-W-set families; beta and beta_E of the vertex- and edge-pair resolver
-families, and beta_M of the mixed family, which is those two followed by
-the vertex-edge pairs; psi (the doubly metric dimension) of the psi
-family, whose hitting sets are exactly the doubly resolving sets.
+each tag to the name of the function in ``families`` that builds its
+family, the tags whose families that function reuses, and any check
+beyond hitting the family. mhs_strict and mhs_weak are minimum hitting
+sets of the strict/weak W-set families; beta and beta_E of the vertex-
+and edge-pair resolver families, and beta_M of the mixed family, which
+is those two followed by the vertex-edge pairs; psi (the doubly metric
+dimension) of the psi family, whose hitting sets are exactly the doubly
+resolving sets.
 
 ``all_invariants(g, tags)`` runs the tags it is given from one distance
 matrix and builds each family at most once, so beta_M reuses the beta
-and beta_E families; a family is dropped after its last use. Every
-witness hits its family, and a psi witness is also re-checked by the
-two-witness definition (``is_doubly_resolving``), before it leaves this
-module.
+and beta_E families, and mhs_strict complements the sets of the mhs_weak
+family; a family is dropped after its last use. Every witness hits its
+family, and a psi witness is also re-checked by the two-witness
+definition (``is_doubly_resolving``), before it leaves this module.
 """
 
 from collections import namedtuple
@@ -34,18 +35,17 @@ def check_tags(tags):
             raise GraphError(f"unknown invariant {tag!r}; choose from {TAGS}")
 
 
-# tag -> (family function, tags whose families it takes after the graph
-# and distances, witness check on (distances, witness) or None). Family
-# functions are looked up in ``families`` at call time, so a wrapper
-# installed there (a counting one in the tests) sees every build.
+# tag -> (name of its builder in ``families``, tags whose families it
+# takes after the graph and distances, witness check on (distances,
+# witness) or None). Builders are looked up by name at call time, so a
+# wrapper installed there (a counting one in the tests) sees every build.
 _PIPELINE = {
-    "beta": (lambda g, d: fam.vertex_pair_family(g, d), (), None),
-    "beta_E": (lambda g, d: fam.edge_pair_family(g, d), (), None),
-    "beta_M": (lambda g, d, vertex, edge: fam.compose_mixed_family(
-        g, d, vertex, edge), ("beta", "beta_E"), None),
-    "psi": (lambda g, d: fam.psi_family(g, d), (), fam.is_doubly_resolving),
-    "mhs_strict": (lambda g, d: fam.family_strict(g, d), (), None),
-    "mhs_weak": (lambda g, d: fam.family_weak(g, d), (), None),
+    "beta": ("vertex_pair_family", (), None),
+    "beta_E": ("edge_pair_family", (), None),
+    "beta_M": ("compose_mixed_family", ("beta", "beta_E"), None),
+    "psi": ("psi_family", (), fam.is_doubly_resolving),
+    "mhs_strict": ("family_strict", ("mhs_weak",), None),
+    "mhs_weak": ("family_weak", (), None),
 }
 
 
@@ -72,6 +72,15 @@ def _solve(tag, family, dist):
     return InvariantResult(tag, len(witness), witness)
 
 
+def _family(tag, g, dist, built):
+    """tag's family from ``built`` (tag -> family), built there first."""
+    if tag not in built:
+        name, parts, _ = _PIPELINE[tag]
+        built[tag] = getattr(fam, name)(
+            g, dist, *[_family(part, g, dist, built) for part in parts])
+    return built[tag]
+
+
 def all_invariants(g, tags=TAGS):
     """The invariants named by ``tags`` (default all six) with
     witnesses, as a dict tag -> InvariantResult in the order of
@@ -87,16 +96,9 @@ def all_invariants(g, tags=TAGS):
         raise ValueError(f"universe size {g.n} exceeds {MAX_UNIVERSE}")
     dist = all_pairs_distances(g)
     built = {}  # tag -> family, kept while a tag still to solve needs it
-
-    def family(tag):
-        if tag not in built:
-            build, parts, _ = _PIPELINE[tag]
-            built[tag] = build(g, dist, *map(family, parts))
-        return built[tag]
-
     results = {}
     for i, tag in enumerate(tags):
-        results[tag] = _solve(tag, family(tag), dist)
+        results[tag] = _solve(tag, _family(tag, g, dist, built), dist)
         # families are the bulk of the memory, so each goes after its
         # last use
         later = {t for u in tags[i + 1:] for t in (u, *_PIPELINE[u][1])}

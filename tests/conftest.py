@@ -5,7 +5,8 @@ from itertools import combinations, permutations
 import pytest
 
 from resolvability import (
-    edge_pair_family, from_edge_list, invariant_values, vertex_pair_family)
+    edge_pair_family, family_strict, family_weak, from_edge_list,
+    invariant_values, vertex_pair_family)
 from resolvability.canon import adjacency, canonical_form
 from resolvability.extremal import THEOREM_PAIRS, GraphSource, sweep
 from resolvability.families import compose_mixed_family
@@ -104,6 +105,12 @@ def mixed_pair_family(g, dist):
     vertex and edge pair families, then the vertex-edge pairs."""
     return compose_mixed_family(
         g, dist, vertex_pair_family(g, dist), edge_pair_family(g, dist))
+
+
+def strict_family(g, dist):
+    """The strict family as the mhs_strict pipeline builds it: the
+    weak family, then its sets complemented."""
+    return family_strict(g, dist, family_weak(g, dist))
 
 
 def w_sets(dist, u, v):

@@ -169,8 +169,9 @@ def _w_identity_checks(g, dist, failures):
             return
         strict += (w_uv, w_vu)
         weak += (wb_uv, wb_vu)
-    if (family_strict(g, dist).sets != tuple(strict)
-            or family_weak(g, dist).sets != tuple(weak)):
+    weak_family = family_weak(g, dist)
+    if (family_strict(g, dist, weak_family).sets != tuple(strict)
+            or weak_family.sets != tuple(weak)):
         failures.append(f"W-set families on {write_graph6(g)}")
 
 

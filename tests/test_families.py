@@ -30,6 +30,7 @@ from conftest import (
     reference_strict,
     reference_weak,
     slot_unpack_enumeration,
+    strict_family,
     w_sets,
 )
 
@@ -91,7 +92,7 @@ class TestWSets:
 
 
 _each_reference = pytest.mark.parametrize("build, reference", [
-    pytest.param(family_strict, reference_strict, id="strict"),
+    pytest.param(strict_family, reference_strict, id="strict"),
     pytest.param(family_weak, reference_weak, id="weak"),
     pytest.param(psi_family, reference_psi, id="psi"),
 ])
@@ -136,19 +137,22 @@ class TestEdgeFamilies:
 
     def test_strict_p2(self):
         g = path(2)
-        fam = family_strict(g, _dist(g))
+        d = _dist(g)
+        fam = family_strict(g, d, family_weak(g, d))
         assert fam.sets == (0b01, 0b10)
 
     def test_strict_star_has_leaf_singletons(self):
         g = star(4)
-        fam = family_strict(g, _dist(g))
+        d = _dist(g)
+        fam = family_strict(g, d, family_weak(g, d))
         for leaf in (1, 2, 3):
             assert (1 << leaf) in fam.sets
 
     def test_deterministic_order(self):
         g = cycle(5)
         d = _dist(g)
-        f1, f2 = family_strict(g, d), family_strict(g, d)
+        weak = family_weak(g, d)
+        f1, f2 = family_strict(g, d, weak), family_strict(g, d, weak)
         assert f1 == f2
         # W(v1,v2), then W(v2,v1): the first edge's sets lead
         assert f1.sets[:2] == w_sets(d, 0, 1)[:2]
@@ -157,8 +161,9 @@ class TestEdgeFamilies:
     def test_all_members_nonempty(self, n):
         for g in slot_unpack_enumeration(n):
             d = _dist(g)
-            assert all(m for m in family_strict(g, d).sets)
-            assert all(m for m in family_weak(g, d).sets)
+            weak = family_weak(g, d)
+            assert all(m for m in family_strict(g, d, weak).sets)
+            assert all(m for m in weak.sets)
 
 
 class TestPairFamilies:

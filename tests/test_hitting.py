@@ -28,6 +28,7 @@ from conftest import (
     mixed_pair_family,
     random_connected_graph,
     random_hitting_instance,
+    strict_family,
 )
 
 
@@ -39,7 +40,8 @@ class TestVerify:
 
     def test_path_endpoints_hit_strict_family(self):
         g = path(5)
-        fam = family_strict(g, all_pairs_distances(g))
+        d = all_pairs_distances(g)
+        fam = family_strict(g, d, family_weak(g, d))
         assert verify_hitting(fam.sets, mask_of((0, 4)))
 
     def test_empty_family_vacuous(self):
@@ -56,7 +58,8 @@ class TestExact:
     def test_strict_family_star(self):
         n = 6
         g = star(n)
-        fam = family_strict(g, all_pairs_distances(g))
+        d = all_pairs_distances(g)
+        fam = family_strict(g, d, family_weak(g, d))
         sol = min_hitting_exact(n, fam.sets)
         assert bits_list(sol) == tuple(range(1, n))
 
@@ -118,19 +121,21 @@ class TestOracleEquivalence:
         assert min_hitting_exact(n, sets) == brute_force_min_hitting(n, sets)
 
 
-RESOLVER_BUILDERS = (
-    family_strict,
-    family_weak,
-    vertex_pair_family,
-    edge_pair_family,
-    mixed_pair_family,
-    psi_family,
-)
+# builder name -> builder from (g, dist); the strict and mixed entries
+# first build the families their builders take
+RESOLVER_BUILDERS = {
+    "family_strict": strict_family,
+    "family_weak": family_weak,
+    "vertex_pair_family": vertex_pair_family,
+    "edge_pair_family": edge_pair_family,
+    "mixed_pair_family": mixed_pair_family,
+    "psi_family": psi_family,
+}
 
 
 class TestResolverFamilies:
     @pytest.mark.parametrize(
-        "builder", RESOLVER_BUILDERS, ids=lambda b: b.__name__
+        "builder", RESOLVER_BUILDERS.values(), ids=list(RESOLVER_BUILDERS)
     )
     def test_matches_brute_force(self, builder):
         # real resolver families: larger and more structured than the
@@ -153,7 +158,7 @@ class TestSmallMinHitting:
         for n in range(2, 8):
             for g in GraphSource.enumeration(n).graphs():
                 dist = all_pairs_distances(g)
-                for builder in RESOLVER_BUILDERS:
+                for builder in RESOLVER_BUILDERS.values():
                     sets = builder(g, dist).sets
                     if sets:
                         assert (small_min_hitting(n, sets)

@@ -1,3 +1,4 @@
+import gc
 import random
 import weakref
 from itertools import combinations
@@ -266,16 +267,15 @@ class TestPipeline:
         with pytest.raises(ValueError, match=f"universe size {n} exceeds 62"):
             all_invariants(path(n), ("beta", "beta_E"))
 
-    def test_pair_sets_built_once(self, monkeypatch):
-        # all six invariants build the vertex and edge pair families once;
-        # beta_M's family reuses them and computes only the vertex-edge
-        # pairs, so every pair resolver set is computed exactly once. The
-        # W-set and psi builders share the kernel, so only its calls from
-        # the three pair builders are counted
+    @staticmethod
+    def _count_kernel_sets(monkeypatch, names):
+        """Wrap the builders ``names`` in ``families`` so that ``calls``
+        records each of their calls and ``built`` the number of sets each
+        ``_pair_family`` call made inside one of them yields."""
         calls = []
+        built = []
         active = []
-        for name in ("vertex_pair_family", "edge_pair_family",
-                     "compose_mixed_family"):
+        for name in names:
             def counted(*args, _name=name, _f=getattr(families, name)):
                 calls.append(_name)
                 active.append(_name)
@@ -284,7 +284,6 @@ class TestPipeline:
                 finally:
                     active.pop()
             monkeypatch.setattr(families, name, counted)
-        built = []
         pair_family = families._pair_family
 
         def counted_pair_family(*args):
@@ -294,6 +293,16 @@ class TestPipeline:
             return result
 
         monkeypatch.setattr(families, "_pair_family", counted_pair_family)
+        return calls, built
+
+    def test_pair_sets_built_once(self, monkeypatch):
+        # all six invariants build the vertex and edge pair families once;
+        # beta_M's family reuses them and computes only the vertex-edge
+        # pairs, so every pair resolver set is computed exactly once. The
+        # W-set and psi builders share the kernel, so only its calls from
+        # the three pair builders are counted
+        calls, built = self._count_kernel_sets(monkeypatch, (
+            "vertex_pair_family", "edge_pair_family", "compose_mixed_family"))
         for g in (t_prime_tree(9), complete_bipartite(3, 4),
                   random_connected_graph(random.Random(5), 6, 9)):
             calls.clear()
@@ -304,9 +313,38 @@ class TestPipeline:
                                      "edge_pair_family", "vertex_pair_family"]
             assert sum(built) == comb(n, 2) + comb(m, 2) + n * m
 
+    @pytest.mark.parametrize("tags", [TAGS, ("mhs_strict",),
+                                      ("mhs_weak", "mhs_strict")],
+                             ids=["all", "strict", "weak_strict"])
+    def test_w_sets_built_once(self, monkeypatch, tags):
+        # the kernel yields the 2m sets Wbar(u,v), Wbar(v,u) once per
+        # graph; the strict family complements them and builds none
+        calls, built = self._count_kernel_sets(
+            monkeypatch, ("family_strict", "family_weak"))
+        for g in (t_prime_tree(9), complete_bipartite(3, 4),
+                  random_connected_graph(random.Random(5), 6, 9)):
+            calls.clear()
+            built.clear()
+            all_invariants(g, tags)
+            assert sorted(calls) == ["family_strict", "family_weak"]
+            assert sum(built) == 2 * g.num_edges()
+
+    def test_no_cyclic_garbage(self):
+        # a call leaves nothing that only the cyclic collector can free
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            all_invariants(complete(7))
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_families_freed_after_last_use(self, monkeypatch):
         # at each solve, only the families a tag still to solve needs are
-        # alive: beta's and beta_E's live on for beta_M, then all go
+        # alive: beta's and beta_E's live on for beta_M, and mhs_weak's is
+        # alive at mhs_strict's solve, having been built for it
         refs = []
         for name in ("vertex_pair_family", "edge_pair_family",
                      "compose_mixed_family", "psi_family", "family_strict",
@@ -325,11 +363,13 @@ class TestPipeline:
 
         monkeypatch.setattr(invariants, "min_hitting_exact", counted)
         all_invariants(cycle(6))
-        assert alive == [1, 2, 3, 1, 1, 1]
-        refs.clear()
-        alive.clear()
-        all_invariants(cycle(6), ("beta_M", "psi", "beta"))
-        assert alive == [3, 2, 1]
+        assert alive == [1, 2, 3, 1, 2, 1]
+        for tags, expected in ((("beta_M", "psi", "beta"), [3, 2, 1]),
+                               (("mhs_strict",), [2])):
+            refs.clear()
+            alive.clear()
+            all_invariants(cycle(6), tags)
+            assert alive == expected
 
 
 # Values and lexicographically smallest witnesses on graphs too large for

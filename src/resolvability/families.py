@@ -1,34 +1,47 @@
-"""Distance-derived resolver families, all built by one kernel.
+"""Distance-derived resolver families.
 
-Each distance row d(x, .) is packed into one int holding d(x, w) in
-byte w (a graph within the solver's 62-vertex universe has distances
-below 62, so a byte holds them with the offsets below). ``_pair_family``
-reads the set {w : byte w of a ^ b is non-zero} off a pair (a, b) of
-packed rows by one byte translation and one base-2 parse, with no loop
-over vertices, and every family's sets come from that kernel on pairs
-of row combinations. With ONES the row holding 1 in every byte:
+Every builder reads its graph's distance rows from one ``Rows`` object,
+which makes the edge list, the edge rows and each form of the rows at
+most once per graph; a builder given no ``rows`` makes its own.
 
-- vertex, edge and mixed pair families (beta, beta_E, beta_M): the
-  resolver set {w : d(x,w) != d(y,w)} of two items, read off their
-  rows; an edge uv has the row min(d(u,.), d(v,.)). The mixed family is
-  the vertex and edge pair families followed by the vertex-edge pairs,
-  so ``compose_mixed_family`` builds it from the other two;
-- weak family (mhs_<=): {Wbar(u,v), Wbar(v,u)} over the edges uv, with
-  Wbar(u,v) = {w : d(u,w) >= d(v,w)}. On an edge d(u,w) - d(v,w) is -1,
-  0 or 1, so Wbar(u,v) = {w : d(u,w) + 1 != d(v,w)}, read off
-  (row_u + ONES, row_v);
-- strict family (mhs_<): {W(u,v), W(v,u)}, with
-  W(u,v) = {w : d(u,w) < d(v,w)} the complement of Wbar(u,v), so it
-  is the weak family with each set complemented;
-- psi family: byte s of z = row_u + 64 ONES - row_v is
-  d(u,s) - d(v,s) + 64, with no borrow, so the complement of the level
-  set of the value k - 64 is read off (z, k ONES).
+Most sets are resolver sets {w : d(x,w) != d(y,w)} of two items x, y
+with distance rows. Those come from bit-plane rows: a row holds, in
+bits b*n .. b*n + n - 1, the vertices w whose distance has bit b set,
+so the resolver set of two rows is their XOR with its planes ORed
+together. An edge uv has the row d(e, .) = min(d(u, .), d(v, .)).
 
-A family is its sets alone, in the order its builder documents. All
-set-building functions are pure functions of immutable inputs.
+- vertex and edge pair families (beta, beta_E): the resolver set of
+  each pair of vertices, and of each pair of edges;
+- strict family (mhs_<): {W(u,v), W(v,u)} over the edges uv, with
+  W(u,v) = {w : d(u,w) < d(v,w)}. On the edge e = uv, v and e differ
+  exactly where u is the closer end, so W(u,v) is the resolver set of
+  v and e: the strict sets are the cross sets of the edges' own ends;
+- weak family (mhs_<=): {Wbar(u,v), Wbar(v,u)}, Wbar(u,v) =
+  {w : d(u,w) >= d(v,w)} being the complement of W(u,v);
+- mixed family (beta_M): the resolver sets of all pairs of items
+  (vertices and edges). Its vertex-edge sets with the vertex on the
+  edge are the strict sets, so it is the vertex, edge and strict
+  families followed by the (n - 2)m cross sets of a vertex and an edge
+  not containing it, and ``compose_mixed_family`` builds only those;
+- psi family: its hitting sets are the doubly resolving sets. It keeps
+  byte rows, one int holding d(u, w) in byte w: byte s of row_u +
+  64 ONES - row_v, ONES holding 1 in each byte, is d(u,s) - d(v,s) + 64
+  with no borrow, so the complement of each level set of (u, v) is one
+  byte translation of that row away. The complement of a pair's
+  level-0 set is the pair's vertex resolver set, so ``psi_family`` is
+  the vertex family followed by the complements of the other level
+  sets and the sets V - {s}.
+
+A family built from other families starts with their sets, in the order
+the builder takes them, so it contains each of them; that is what makes
+their optima lower bounds of its own. A family is its sets alone, in
+the order its builder documents. All set-building functions are pure
+functions of immutable inputs.
 """
 
-from itertools import combinations, product
+from functools import cached_property
+from itertools import combinations, repeat, starmap
+from operator import xor
 
 
 class SetFamily:
@@ -51,108 +64,181 @@ class SetFamily:
         return f"SetFamily(n={self.n}, sets={self.sets!r})"
 
 
-# a bytes.translate table mapping byte 0 to "0" and every other byte to
-# "1": it turns the bytes of the XOR of two packed rows into the binary
-# text of their resolver set
-NONZERO = b"0" + b"1" * 255
+def _edge_distance_rows(n, packed, edges):
+    """The packed distance rows d(e, .) = min(d(u, .), d(v, .)) of the
+    edges uv in ``edges``, from the packed vertex rows. On an edge the
+    two distances differ by at most 1, so each byte of x + ONES - y is
+    0, 1 or 2, and 2, its bit 1, marks where y is the smaller."""
+    ones = int.from_bytes(b"\x01" * n, "little")
+    return [x - (x + ones - y >> 1 & ones)
+            for x, y in [(packed[u], packed[v]) for u, v in edges]]
 
 
-def _packed_rows(rows):
-    """Each distance row as one int holding d(., w) in byte w. Rows of a
-    graph with n <= 256 fit, its distances being at most n - 1."""
-    return [int.from_bytes(bytes(row), "little") for row in rows]
+# PLANES[b] is a bytes.translate table mapping each byte to "1" if it
+# has bit b set and to "0" if not: runs of 2**b of each, in turn.
+# Distances below 64 need b < 6
+PLANES = [(b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(6)]
 
 
-def _ones(n):
-    """The packed row holding 1 in each of its n bytes."""
-    return int.from_bytes(b"\x01" * n, "little")
+def _plane_rows(n, depth, packed):
+    """Each packed row of distances below 2**depth as one int holding,
+    in bits b*n .. b*n + n - 1, the vertices whose distance has bit b
+    set. Big-endian bytes put vertex n - 1 first; each plane comes off
+    them by one byte translation, plane depth - 1 first, and the joined
+    text is read in base 2."""
+    tables = PLANES[depth - 1::-1]
+    return [int(b"".join([text.translate(t) for t in tables]), 2)
+            for text in [x.to_bytes(n, "big") for x in packed]]
 
 
-def _pair_family(n, pairs):
-    """One set {w : byte w of x != byte w of y} per pair (x, y) of packed
-    rows in ``pairs``, as a tuple in the order of ``pairs``. Byte w of
-    x ^ y is non-zero iff x and y differ at w, and big-endian bytes put
-    vertex n - 1 first, as base 2 reads it."""
-    return tuple([int((x ^ y).to_bytes(n, "big").translate(NONZERO), 2)
-                  for x, y in pairs])
+def _fold(n, depth, xors):
+    """The set {w : bit w of some plane of z is set} for each XOR z of
+    two plane rows in ``xors``, as a tuple: the upper planes are ORed
+    onto the lower ones, halving their number each time."""
+    full = (1 << n) - 1
+    while depth > 2:
+        depth = (depth + 1) // 2
+        shift = n * depth
+        xors = [z | z >> shift for z in xors]
+    if depth == 2:
+        return tuple([(z | z >> n) & full for z in xors])
+    return tuple(xors)
 
 
-def _edge_distance_rows(g, dist):
-    """Packed distance rows d(e, .) of the edges in canonical order,
-    using d(e, w) = min(d(u, w), d(v, w))."""
-    return _packed_rows(map(min, dist[u], dist[v]) for u, v in g.edges())
+class Rows:
+    """One graph's distance rows in the forms its builders read: vertex
+    rows as byte ints and as bit-plane ints, made at once, and, each on
+    first use and then kept, the edge list, the edge rows as bit-plane
+    ints and the strict sets, which both W-set families take."""
+
+    def __init__(self, g, dist):
+        self.g = g
+        n = self.n = g.n
+        # each row as one int holding d(., w) in byte w, a byte being
+        # enough for the distances of a graph with n <= 62
+        self.packed = [int.from_bytes(bytes(row), "little") for row in dist]
+        # planes per bit-plane row: the bit length of the diameter
+        self.depth = max(1, max(map(max, dist)).bit_length())
+        self.planes = _plane_rows(n, self.depth, self.packed)
+
+    def fold(self, xors):
+        """The resolver set of each XOR of two plane rows in ``xors``,
+        as a tuple."""
+        return _fold(self.n, self.depth, xors)
+
+    @cached_property
+    def edges(self):
+        return self.g.edges()
+
+    @cached_property
+    def edge_planes(self):
+        return _plane_rows(self.n, self.depth, _edge_distance_rows(
+            self.n, self.packed, self.edges))
+
+    @cached_property
+    def strict_sets(self):
+        """W(u,v), then W(v,u), for each edge uv in canonical order."""
+        planes = self.planes
+        ends = [planes[x] for u, v in self.edges for x in (v, u)]
+        doubled = [e for e in self.edge_planes for _ in (0, 1)]
+        return self.fold(map(xor, ends, doubled))
 
 
-def family_weak(g, dist):
+def _rows(g, dist, rows):
+    """The given ``Rows`` of g, or new ones."""
+    return rows if rows is not None else Rows(g, dist)
+
+
+def family_weak(g, dist, *, rows=None):
     """Family {Wbar_uv, Wbar_vu} over all edges in canonical order, the
     (u, v) set before the (v, u) set; its minimum hitting set size is
-    mhs_<=(G)."""
-    rows = _packed_rows(dist)
-    ones = _ones(g.n)
-    return SetFamily(g.n, _pair_family(g.n, (
-        pair for u, v in g.edges()
-        for pair in ((rows[u] + ones, rows[v]), (rows[v] + ones, rows[u])))))
+    mhs_<=(G). Each set is the complement of the strict set at its
+    place."""
+    full = (1 << g.n) - 1
+    return SetFamily(g.n, tuple(
+        [full ^ s for s in _rows(g, dist, rows).strict_sets]))
 
 
-def family_strict(g, dist, weak):
+def family_strict(g, dist, *, rows=None):
     """Family {W_uv, W_vu} over all edges in canonical order, the (u, v)
     set before the (v, u) set; its minimum hitting set size is
-    mhs_<(G). On an edge W(u,v) is the complement of Wbar(u,v), so the
-    sets are those of g's built weak family, each complemented."""
-    full = (1 << g.n) - 1
-    return SetFamily(g.n, tuple([full ^ s for s in weak.sets]))
+    mhs_<(G)."""
+    return SetFamily(g.n, _rows(g, dist, rows).strict_sets)
 
 
-def vertex_pair_family(g, dist):
+def vertex_pair_family(g, dist, *, rows=None):
     """One resolver set per unordered pair of distinct vertices:
     {w : d(u,w) != d(v,w)}."""
-    return SetFamily(g.n, _pair_family(
-        g.n, combinations(_packed_rows(dist), 2)))
+    rows = _rows(g, dist, rows)
+    return SetFamily(g.n, rows.fold(
+        starmap(xor, combinations(rows.planes, 2))))
 
 
-def edge_pair_family(g, dist):
+def edge_pair_family(g, dist, *, rows=None):
     """One resolver set per unordered pair of distinct edges."""
-    return SetFamily(g.n, _pair_family(
-        g.n, combinations(_edge_distance_rows(g, dist), 2)))
+    rows = _rows(g, dist, rows)
+    return SetFamily(g.n, rows.fold(
+        starmap(xor, combinations(rows.edge_planes, 2))))
 
 
-def compose_mixed_family(g, dist, vertex, edge):
-    """The mixed pair family from g's built vertex and edge pair
-    families: their sets, then one resolver set per (vertex, edge) pair
-    in vertex-major order. Only the vertex-edge sets are computed."""
-    cross = _pair_family(g.n, product(
-        _packed_rows(dist), _edge_distance_rows(g, dist)))
-    return SetFamily(g.n, vertex.sets + edge.sets + cross)
+def compose_mixed_family(g, dist, vertex, edge, strict, *, rows=None):
+    """The mixed pair family from g's built vertex, edge and strict
+    families: their sets, then, edge by edge in canonical order, the
+    resolver sets of the edge and each vertex not on it, in vertex
+    order. Only those (n - 2)m sets are computed."""
+    rows = _rows(g, dist, rows)
+    planes = rows.planes
+    left, right = [], []
+    for (u, v), e in zip(rows.edges, rows.edge_planes):
+        others = planes[:u] + planes[u + 1:v] + planes[v + 1:]
+        left += others
+        right += repeat(e, len(others))
+    return SetFamily(g.n, vertex.sets + edge.sets + strict.sets
+                     + rows.fold(map(xor, left, right)))
 
 
-def _psi_levels(n, rows):
-    """(z, k ONES) for each level set of s -> d(u,s) - d(v,s) with at
-    least two vertices, pair by pair, in order of its least vertex."""
-    ones = _ones(n)
-    shift = 64 * ones
-    for x, y in combinations(rows, 2):
-        z = x + shift - y
-        level = z.to_bytes(n, "little")
-        for k in dict.fromkeys(level):  # in order of first occurrence
-            if level.count(k) > 1:
-                yield z, k * ones
+# LEVEL[k] is a bytes.translate table mapping byte k to "0" and every
+# other byte to "1", a 256-byte window of ONE_ZERO with its "0" at k;
+# the bytes of a psi level row are 64 +- a distance, below 128
+ONE_ZERO = b"1" * 255 + b"0" + b"1" * 255
+LEVEL = [ONE_ZERO[255 - k:511 - k] for k in range(128)]
 
 
-def psi_family(g, dist):
+def _psi_level_sets(n, packed):
+    """V - C for each level set C of s -> d(u,s) - d(v,s) with at least
+    two vertices and a value other than 0, pair by pair, in order of its
+    least vertex, as a tuple. Byte s of x + 64 ONES - y, for the packed
+    rows x, y of u and v, is d(u,s) - d(v,s) + 64 with no borrow, and
+    its big-endian bytes put vertex n - 1 first, as base 2 reads it."""
+    shift = 64 * int.from_bytes(b"\x01" * n, "little")
+    sets = []
+    for x, y in combinations(packed, 2):
+        level = (x + shift - y).to_bytes(n, "big")
+        for k in dict.fromkeys(level[::-1]):  # in order of least vertex
+            if k != 64 and level.count(k) > 1:
+                sets.append(int(level.translate(LEVEL[k]), 2))
+    return tuple(sets)
+
+
+def psi_family(g, dist, vertex, *, rows=None):
     """Family whose minimum hitting sets are the minimum doubly resolving
-    sets.
+    sets, from g's built vertex pair family.
 
     A pair (u, v) is doubly resolved by S iff s -> d(u,s) - d(v,s) is
     non-constant on S, i.e. S lies inside none of its level sets C, i.e.
-    S hits V - C. Level sets of one vertex only matter for |S| < 2, which
-    the sets V - {s} rule out (a doubly resolving set has at least two
-    vertices), so the family is, for each pair u < v in turn, V - C for
-    each level set C with |C| >= 2 in order of its least vertex,
-    followed by {V - {s} : s in V}.
+    S hits V - C. Level sets of one vertex only matter for |S| < 2,
+    which the sets V - {s} rule out (a doubly resolving set has at least
+    two vertices). The complement of the level-0 set of (u, v) is their
+    vertex resolver set, which is V or contains some V - {s} when that
+    level set has fewer than two vertices. So the family is the vertex
+    family's sets, then, for each pair u < v in turn, V - C for each
+    level set C of a non-zero value with |C| >= 2 in order of its least
+    vertex, then {V - {s} : s in V}.
     """
     n = g.n
     full = (1 << n) - 1
-    return SetFamily(n, _pair_family(n, _psi_levels(n, _packed_rows(dist)))
+    levels = _psi_level_sets(n, _rows(g, dist, rows).packed)
+    return SetFamily(n, vertex.sets + levels
                      + tuple([full ^ 1 << s for s in range(n)]))
 
 
@@ -162,18 +248,20 @@ def is_doubly_resolving(dist, members):
     fewer than two vertices never doubly resolve.
 
     Equivalent to the two-witness definition: (u, v) is doubly resolved
-    by some pair from S iff s -> d(u,s) - d(v,s) is non-constant on S.
+    by some pair from S iff s -> d(u,s) - d(v,s) is non-constant on S,
+    i.e. iff the vectors (d(u,s) - d(u,s_0))_s and (d(v,s) - d(v,s_0))_s
+    over s in S differ, s_0 being the first member. So S doubly resolves
+    G iff those vectors are pairwise distinct over u: one pass over the
+    rows, O(n |S|).
     """
     s = tuple(members)
     if len(s) < 2:
         return False
-    n = len(dist)
-    s0, rest = s[0], s[1:]
-    for u in range(n):
-        du = dist[u]
-        for v in range(u + 1, n):
-            dv = dist[v]
-            base = du[s0] - dv[s0]
-            if all(du[t] - dv[t] == base for t in rest):
-                return False
+    s0 = s[0]
+    seen = set()
+    for row in dist:
+        key = tuple([row[t] - row[s0] for t in s])
+        if key in seen:
+            return False
+        seen.add(key)
     return True

@@ -19,23 +19,24 @@ For larger n, a depth-first branch and bound. The family is used
 transposed: one bitmask per vertex over set indices, so "the sets still
 unhit after picking v" is one AND and "the supersets of k" is the AND
 over k's vertices. The transposition runs in C: every set fills a
-fixed-width byte lane of one int, and the vertices are the columns of
-that int's binary text. The search runs reduction rules (forced
-singletons, then dominated-set removal in one pass over the transposed
-family), then transposes the reduced family for the search. It branches
-on vertices in increasing index order under a budget that grows 1, 2,
-...; it drops a node when an unhit set has only vertices it already
-skipped, or when a disjoint packing of unhit sets, cut to the vertices
-it may still choose, needs more than the budget. Both prunes drop only
-subtrees without a solution, so the first solution found is both
-minimum and lexicographically smallest.
+fixed-width lane of one int, and the vertices are the columns of that
+int's binary text. The search runs on the family's reduction
+(forced singletons, then dominated-set removal in one pass over the
+transposed family), which a caller that has it already hands in; the
+reduction of a family made of reduced families and further sets starts
+from their forced vertices and kept sets. It branches on vertices in
+increasing index order under a budget that grows from a given lower
+bound on the optimum, or 1; it drops a node when an unhit set has only
+vertices it already skipped, or when a disjoint packing of unhit sets,
+cut to the vertices it may still choose, needs more than the budget.
+Both prunes drop only subtrees without a solution, so the first
+solution found is both minimum and lexicographically smallest.
 """
 
 from functools import cache, reduce
-from itertools import repeat
-from operator import or_
-
-from .graph import iter_bits
+from itertools import compress
+from operator import not_, or_
+from struct import pack
 
 MAX_UNIVERSE = 62
 SMALL_UNIVERSE = 9
@@ -65,47 +66,59 @@ def _by_size(sets):
     return order
 
 
+# (lane width in bits, struct code) for universes of up to 8, 16, 32
+# and 64 vertices
+LANES = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+
+
 def _columns(n, sets):
     """The non-empty list ``sets`` transposed: ``cover[v]`` is the
     bitmask of the indices of the sets containing v.
 
-    Each set fills a byte lane of ``lane`` bits in one int, the first
-    set in the lowest lane. Written in binary, that int is a text whose
-    column v, every ``lane``-th character, read in base 2 is cover[v].
+    ``struct.pack`` puts each set in a lane of ``lane`` bits of one
+    little-endian int, the first set in the lowest lane. Written in
+    binary, that int is a text whose column v, every ``lane``-th
+    character, read in base 2 is cover[v].
     """
-    width = (n + 7) // 8
-    lane = 8 * width
-    packed = int.from_bytes(b"".join(map(
-        int.to_bytes, reversed(sets), repeat(width), repeat("big"))), "big")
+    lane, code = next(kind for kind in LANES if kind[0] >= n)
+    packed = int.from_bytes(pack(f"<{len(sets)}{code}", *sets), "little")
     text = format(packed, f"0{len(sets) * lane}b")
     return [int(text[lane - 1 - v::lane], 2) for v in range(n)]
 
 
-def _reduce(n, sets):
+def reduce_family(n, sets, forced=0):
     """Apply forced-singleton and dominated-set rules.
 
     Returns (forced_mask, remaining_sets). The reduced instance has
-    exactly the same hitting sets as the original: singletons force
-    their element into every hitting set, and a superset of a kept set
-    is hit whenever the subset is.
+    exactly the same hitting sets as the original plus the singletons
+    of the given ``forced`` mask: singletons force their element into
+    every hitting set, and a superset of a kept set is hit whenever the
+    subset is. So the reduction of a family made of other families is
+    that of their kept sets and forced masks.
 
-    Dominated sets go in one pass over the transposed family in
-    ``_by_size`` order, where every superset of a set comes after it.
-    The first live set is kept; the AND of ``cover[v]`` over its
-    vertices holds it and all its supersets, which stop being live. So a
-    set is kept iff no kept set before it is a subset of it, and the
-    kept sets come in ``_by_size`` order.
+    The distinct sets are taken in order of size, where the singletons
+    lead and every superset of a set comes after it. Dominated sets then
+    go in one pass over the transposed family. The first live set is
+    kept; the AND of ``cover[v]`` over its vertices holds it and all its
+    supersets, which stop being live. So a set is kept iff no kept set
+    before it is a subset of it, that is iff no other set is a subset of
+    it, whatever the order among sets of one size; the kept sets are
+    returned in ``_by_size`` order.
     """
+    order = sorted(set(sets), key=int.bit_count)
+    lead = 0
+    for s in order:
+        if s & (s - 1):
+            break
+        forced |= s
+        lead += 1
     # one pass suffices: dropping the sets a forced vertex hits leaves
     # every other set as it was, so no new singleton appears
-    forced = 0
-    for s in sets:
-        if s.bit_count() == 1:
-            forced |= s
-    work = {s for s in sets if not s & forced}
-    if not work:
+    if forced:
+        rest = order[lead:]
+        order = list(compress(rest, map(not_, map(forced.__and__, rest))))
+    if not order:
         return forced, []
-    order = _by_size(work)
     cover = _columns(n, order)
     live = (1 << len(order)) - 1
     kept = []
@@ -113,10 +126,12 @@ def _reduce(n, sets):
         s = order[(live & -live).bit_length() - 1]
         kept.append(s)
         supersets = live
-        for v in iter_bits(s):
-            supersets &= cover[v]
+        while s:
+            low = s & -s
+            supersets &= cover[low.bit_length() - 1]
+            s ^= low
         live ^= supersets
-    return forced, kept
+    return forced, _by_size(kept)
 
 
 def _transpose(n, sets):
@@ -172,31 +187,42 @@ def small_min_hitting(n, sets):
 
 
 def _branch_and_bound(n, sets, use_reductions=True):
-    """``min_hitting_exact`` by depth-first search, for any n <= 62;
-    ``use_reductions=False`` searches the unreduced family.
-
-    After the reductions, the search tries budgets 1, 2, ... and returns
-    the first hitting set it meets within a budget, choosing vertices in
-    increasing index order. Its nodes are ``(unhit, budget, start)``:
-    ``unhit`` is the bitmask of set indices not yet hit and only vertices
-    >= ``start`` may still be chosen. Picking v leaves
-    ``unhit & ~cover[v]``. A node is dropped when more than ``budget``
-    unhit sets, each cut to the vertices >= ``start``, are pairwise
-    disjoint; its branching stops at the first v with an unhit set lying
-    wholly below v (``unhit & below[v]``), all of whose vertices were
-    skipped. Both prunes drop only subtrees that hold no hitting set
-    within the budget, so the first solution found is the one a plain
-    index-order search would meet first: the lexicographically smallest
-    optimum.
-    """
+    """``min_hitting_exact`` by ``_search`` for any n <= 62, on the
+    reduced family, or with ``use_reductions=False`` on the unreduced
+    one."""
     _check_instance(n, sets)
     if use_reductions:
-        forced, work = _reduce(n, sets)
-    else:
-        forced, work = 0, _by_size(sets)
+        return _search(n, *reduce_family(n, sets))
+    return _search(n, 0, _by_size(sets))
+
+
+def _search(n, forced, work, lower=0):
+    """``forced`` with the lexicographically smallest minimum hitting set
+    of the sets ``work``, none of which holds a forced vertex, found by
+    depth-first search. ``lower`` is a lower bound on the optimum of
+    the whole instance, forced vertices included.
+
+    The search tries budgets from the one ``lower`` leaves, or 1, upward
+    and returns the first hitting set it meets within a budget, choosing
+    vertices in increasing index order. Its nodes are
+    ``(unhit, budget, start)``: ``unhit`` is the bitmask of set indices
+    not yet hit and only vertices >= ``start`` may still be chosen.
+    Picking v leaves ``unhit & ~cover[v]``. A node is dropped when more
+    than ``budget`` unhit sets, each cut to the vertices >= ``start``,
+    are pairwise disjoint; the sets that the packed set i clears, those
+    meeting it in a vertex >= ``start``, are worked out once per
+    (start, i) and kept. Branching stops at the first v with an unhit
+    set lying wholly below v (``unhit & below[v]``), all of whose
+    vertices were skipped. Both prunes drop only subtrees that hold no
+    hitting set within the budget, and every budget below the optimum
+    fails, so the first solution found is the one a plain index-order
+    search would meet first: the lexicographically smallest optimum.
+    """
     if not work:
         return forced
     cover, below = _transpose(n, work)
+    # keeps[start][i]: the complement of the sets packed set i clears
+    keeps = [[None] * len(work) for _ in range(n)]
 
     def search(unhit, budget, start):
         # every unhit set keeps a vertex >= start, since the loop below
@@ -204,18 +230,24 @@ def _branch_and_bound(n, sets, use_reductions=True):
         # packed set clears at least itself and the packing loop ends
         if not unhit:
             return 0
-        avail = -1 << start
+        memo = keeps[start]
         rest = unhit
         packed = 0
         while rest:
             packed += 1
             if packed > budget:
                 return None
-            s = work[(rest & -rest).bit_length() - 1] & avail
-            while s:
-                low = s & -s
-                rest &= ~cover[low.bit_length() - 1]
-                s ^= low
+            i = (rest & -rest).bit_length() - 1
+            keep = memo[i]
+            if keep is None:
+                s = work[i] >> start << start
+                hit = 0
+                while s:
+                    low = s & -s
+                    hit |= cover[low.bit_length() - 1]
+                    s ^= low
+                keep = memo[i] = ~hit
+            rest &= keep
         for v in range(start, n):
             if unhit & below[v]:
                 return None  # a set whose vertices were all skipped
@@ -227,7 +259,7 @@ def _branch_and_bound(n, sets, use_reductions=True):
 
     # a budget below the packing bound fails in the root's packing loop
     everything = (1 << len(work)) - 1
-    for extra in range(1, n + 1):
+    for extra in range(max(1, lower - forced.bit_count()), n + 1):
         found = search(everything, extra, 0)
         if found is not None:
             # forced vertices belong to every hitting set, and every
@@ -237,10 +269,21 @@ def _branch_and_bound(n, sets, use_reductions=True):
     raise AssertionError("the universe hits every set")  # pragma: no cover
 
 
-def min_hitting_exact(n, sets):
+def min_hitting_exact(n, sets, lower=0, reduced=None):
     """The bitmask of a minimum hitting set: the lexicographically
     smallest optimum, compared as sorted vertex-index sequences. An
-    empty family yields the empty set, mask 0."""
+    empty family yields the empty set, mask 0.
+
+    For n > SMALL_UNIVERSE, ``lower`` is a lower bound on the optimum,
+    such as the optimum of a family each of whose sets contains one of
+    ``sets``, and the search starts its budgets there; ``reduced`` is
+    the ``(forced, kept)`` pair of a reduction with the same hitting
+    sets as ``sets``, such as ``reduce_family(n, sets)``, and the search
+    starts from it in place of reducing ``sets``. The subset tables for
+    smaller n read ``sets`` whole and need neither.
+    """
     if n <= SMALL_UNIVERSE:
         return small_min_hitting(n, sets)
-    return _branch_and_bound(n, sets)
+    _check_instance(n, sets)
+    forced, work = reduce_family(n, sets) if reduced is None else reduced
+    return _search(n, forced, work, lower)

@@ -1,6 +1,9 @@
+import json
 import random
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, compress, permutations
+from operator import ne, sub
+from pathlib import Path
 
 import pytest
 
@@ -9,8 +12,12 @@ from resolvability import (
     invariant_values, vertex_pair_family)
 from resolvability.canon import adjacency, canonical_form
 from resolvability.extremal import THEOREM_PAIRS, GraphSource, sweep
-from resolvability.families import compose_mixed_family
+from resolvability.families import Rows, compose_mixed_family, psi_family
+from resolvability.graph6 import parse_graph6
 from resolvability.hitting import verify_hitting
+
+PANEL = (Path(__file__).resolve().parents[1]
+         / "perfbench" / "data" / "panel.json")
 
 
 def random_connected_graph(rng, n_min=2, n_max=12):
@@ -21,6 +28,18 @@ def random_connected_graph(rng, n_min=2, n_max=12):
     extra = rng.randint(0, len(possible) // 2)
     edges += rng.sample(possible, extra)
     return from_edge_list(n, edges)
+
+
+@lru_cache(maxsize=None)
+def panel_members():
+    """The benchmark panel's recorded members, read only: a tuple of
+    (stratum, member index, graph, record), the record holding the
+    graph6 string, the six values and their 1-based witnesses."""
+    with open(PANEL, encoding="utf-8") as fh:
+        panel = json.load(fh)
+    return tuple((stratum, j, parse_graph6(record["graph6"]), record)
+                 for stratum, records in panel.items()
+                 for j, record in enumerate(records))
 
 
 def _connected_by_dfs(n, edge_set):
@@ -102,15 +121,30 @@ def unfiltered_class_forms(n):
 
 def mixed_pair_family(g, dist):
     """The mixed pair family as the beta_M pipeline builds it: the
-    vertex and edge pair families, then the vertex-edge pairs."""
+    vertex, edge and strict families, then the cross sets of a vertex
+    and an edge not containing it."""
+    rows = Rows(g, dist)
     return compose_mixed_family(
-        g, dist, vertex_pair_family(g, dist), edge_pair_family(g, dist))
+        g, dist, *[build(g, dist, rows=rows) for build in (
+            vertex_pair_family, edge_pair_family, family_strict)], rows=rows)
 
 
-def strict_family(g, dist):
-    """The strict family as the mhs_strict pipeline builds it: the
-    weak family, then its sets complemented."""
-    return family_strict(g, dist, family_weak(g, dist))
+def psi_pair_family(g, dist):
+    """The psi family as the psi pipeline builds it: the vertex pair
+    family, then the complements of the other level sets and V - {s}."""
+    rows = Rows(g, dist)
+    return psi_family(
+        g, dist, vertex_pair_family(g, dist, rows=rows), rows=rows)
+
+
+def reference_cross(g, dist):
+    """The resolver set of each vertex x and each edge e, compared
+    vertex by vertex, x-major: the n m sets that followed the vertex and
+    edge pair sets in the mixed family before it took the strict sets."""
+    bits = [1 << w for w in range(g.n)]
+    edge_rows = [tuple(map(min, dist[u], dist[v])) for u, v in g.edges()]
+    return tuple(sum(compress(bits, map(ne, x, e)))
+                 for x in dist for e in edge_rows)
 
 
 def w_sets(dist, u, v):
@@ -143,22 +177,40 @@ def reference_weak(g, dist):
     return tuple(s for u, v in g.edges() for s in w_sets(dist, u, v)[2:4])
 
 
-def reference_psi(g, dist):
+def _level_sets(dist, u, v):
+    """The level sets of s -> d(u,s) - d(v,s), value -> bitmask, in
+    order of their least vertex."""
+    classes = {}
+    for s, k in enumerate(map(sub, dist[u], dist[v])):
+        classes[k] = classes.get(k, 0) | 1 << s
+    return classes
+
+
+def reference_psi_levels(g, dist):
     """The psi family by its definition: for each pair u < v, V - C for
     each level set C of s -> d(u,s) - d(v,s) with |C| >= 2, in order of
     its least vertex; then V - {s} for each vertex s."""
     n = g.n
     full = (1 << n) - 1
-    sets = []
-    for u, v in combinations(range(n), 2):
-        du, dv = dist[u], dist[v]
-        classes = {}
-        for s in range(n):
-            key = du[s] - dv[s]
-            classes[key] = classes.get(key, 0) | 1 << s
-        for c in classes.values():
-            if c.bit_count() >= 2:
-                sets.append(full & ~c)
+    sets = [full & ~c for u, v in combinations(range(n), 2)
+            for c in _level_sets(dist, u, v).values() if c.bit_count() >= 2]
+    sets.extend(full & ~(1 << s) for s in range(n))
+    return tuple(sets)
+
+
+def reference_psi(g, dist):
+    """The psi family in the layout its builder uses, by comparing
+    distances vertex by vertex: for each pair u < v the vertex resolver
+    set V - C_0, C_0 being the level set of the value 0; then, for each
+    pair u < v, V - C for each level set C of a non-zero value with
+    |C| >= 2, in order of its least vertex; then V - {s} for each s."""
+    n = g.n
+    full = (1 << n) - 1
+    pairs = list(combinations(range(n), 2))
+    sets = [full & ~_level_sets(dist, u, v).get(0, 0) for u, v in pairs]
+    sets += [full & ~c for u, v in pairs
+             for k, c in _level_sets(dist, u, v).items()
+             if k and c.bit_count() >= 2]
     sets.extend(full & ~(1 << s) for s in range(n))
     return tuple(sets)
 

@@ -169,9 +169,8 @@ def _w_identity_checks(g, dist, failures):
             return
         strict += (w_uv, w_vu)
         weak += (wb_uv, wb_vu)
-    weak_family = family_weak(g, dist)
-    if (family_strict(g, dist, weak_family).sets != tuple(strict)
-            or weak_family.sets != tuple(weak)):
+    if (family_strict(g, dist).sets != tuple(strict)
+            or family_weak(g, dist).sets != tuple(weak)):
         failures.append(f"W-set families on {write_graph6(g)}")
 
 

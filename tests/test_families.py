@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import combinations, product
+from itertools import combinations
 
 import pytest
 
@@ -19,18 +19,21 @@ from resolvability import (
     vertex_pair_family,
 )
 from resolvability.extremal import GraphSource
-from resolvability.families import compose_mixed_family, psi_family
+from resolvability.families import Rows, compose_mixed_family, psi_family
 from resolvability.graph import bits_list, mask_of
 
 from conftest import (
     doubly_resolves,
     mixed_pair_family,
+    panel_members,
+    psi_pair_family,
     random_connected_graph,
+    reference_cross,
     reference_psi,
+    reference_psi_levels,
     reference_strict,
     reference_weak,
     slot_unpack_enumeration,
-    strict_family,
     w_sets,
 )
 
@@ -92,9 +95,9 @@ class TestWSets:
 
 
 _each_reference = pytest.mark.parametrize("build, reference", [
-    pytest.param(strict_family, reference_strict, id="strict"),
+    pytest.param(family_strict, reference_strict, id="strict"),
     pytest.param(family_weak, reference_weak, id="weak"),
-    pytest.param(psi_family, reference_psi, id="psi"),
+    pytest.param(psi_pair_family, reference_psi, id="psi"),
 ])
 
 
@@ -138,21 +141,20 @@ class TestEdgeFamilies:
     def test_strict_p2(self):
         g = path(2)
         d = _dist(g)
-        fam = family_strict(g, d, family_weak(g, d))
+        fam = family_strict(g, d)
         assert fam.sets == (0b01, 0b10)
 
     def test_strict_star_has_leaf_singletons(self):
         g = star(4)
         d = _dist(g)
-        fam = family_strict(g, d, family_weak(g, d))
+        fam = family_strict(g, d)
         for leaf in (1, 2, 3):
             assert (1 << leaf) in fam.sets
 
     def test_deterministic_order(self):
         g = cycle(5)
         d = _dist(g)
-        weak = family_weak(g, d)
-        f1, f2 = family_strict(g, d, weak), family_strict(g, d, weak)
+        f1, f2 = family_strict(g, d), family_strict(g, d)
         assert f1 == f2
         # W(v1,v2), then W(v2,v1): the first edge's sets lead
         assert f1.sets[:2] == w_sets(d, 0, 1)[:2]
@@ -161,9 +163,9 @@ class TestEdgeFamilies:
     def test_all_members_nonempty(self, n):
         for g in slot_unpack_enumeration(n):
             d = _dist(g)
-            weak = family_weak(g, d)
-            assert all(m for m in family_strict(g, d, weak).sets)
-            assert all(m for m in weak.sets)
+            rows = Rows(g, d)
+            assert all(m for m in family_strict(g, d, rows=rows).sets)
+            assert all(m for m in family_weak(g, d, rows=rows).sets)
 
 
 class TestPairFamilies:
@@ -182,9 +184,10 @@ class TestPairFamilies:
     def test_k2_mixed(self):
         g = path(2)
         fam = mixed_pair_family(g, _dist(g))
-        # pairs in order (v1,v2), (v1,e(v1,v2)), (v2,e(v1,v2)); P_2 has
-        # no edge pair
-        assert bits_list(fam.sets[1]) == (1,)
+        # the pair (v1,v2), then the strict sets W(v1,v2) and W(v2,v1),
+        # which resolve (v2,e) and (v1,e) for the edge e = v1v2; P_2 has
+        # no edge pair, and no vertex off its edge
+        assert fam.sets == (0b11, 0b01, 0b10)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_mixed_resolver_nonempty_exhaustive(self, n):
@@ -201,8 +204,8 @@ class TestPairFamilies:
 
     def test_mixed_matches_all_item_pairs(self):
         # the same multiset of sets as one resolver set per unordered
-        # pair of items (vertices, then edges), in the order vertex
-        # pairs, edge pairs, vertex-edge pairs
+        # pair of items (vertices, then edges): the strict sets are the
+        # vertex-edge sets with the vertex on the edge
         rng = random.Random(99)
         graphs = [path(2), path(3), complete(5)] + [
             random_connected_graph(rng, n_min=4, n_max=9) for _ in range(60)]
@@ -216,7 +219,8 @@ class TestPairFamilies:
                 for x, y in combinations(rows, 2))
             fam = mixed_pair_family(g, d)
             assert Counter(fam.sets) == want
-            head = vertex_pair_family(g, d).sets + edge_pair_family(g, d).sets
+            head = (vertex_pair_family(g, d).sets + edge_pair_family(g, d).sets
+                    + family_strict(g, d).sets)
             assert fam.sets[:len(head)] == head
 
 
@@ -250,12 +254,16 @@ class TestPackedRows:
         edge_rows = [tuple(map(min, d[u], d[v])) for u, v in g.edges()]
         vertex = vertex_pair_family(g, d)
         edge = edge_pair_family(g, d)
+        strict = family_strict(g, d)
         assert vertex.sets == _compared_per_vertex(g.n, combinations(d, 2))
         assert edge.sets == _compared_per_vertex(
             g.n, combinations(edge_rows, 2))
-        assert compose_mixed_family(g, d, vertex, edge).sets == (
-            vertex.sets + edge.sets
-            + _compared_per_vertex(g.n, product(d, edge_rows)))
+        assert strict.sets == reference_strict(g, d)
+        off_edge = [(d[x], row) for (u, v), row in zip(g.edges(), edge_rows)
+                    for x in range(g.n) if x not in (u, v)]
+        assert compose_mixed_family(g, d, vertex, edge, strict).sets == (
+            vertex.sets + edge.sets + strict.sets
+            + _compared_per_vertex(g.n, off_edge))
 
 
 class TestDoublyResolving:
@@ -309,7 +317,7 @@ class TestPsiFamily:
     def test_hitting_sets_are_doubly_resolving_sets(self, n):
         for g in slot_unpack_enumeration(n):
             d = _dist(g)
-            sets = psi_family(g, d).sets
+            sets = psi_pair_family(g, d).sets
             for mask in range(1 << n):
                 members = bits_list(mask)
                 hits = all(mask & s for s in sets)
@@ -317,8 +325,53 @@ class TestPsiFamily:
 
     def test_p3_sets(self):
         g = path(3)
-        fam = psi_family(g, _dist(g))
+        d = _dist(g)
+        fam = psi_family(g, d, vertex_pair_family(g, d))
+        # the vertex pair sets V - C(.;0) of (v1,v2), (v1,v3), (v2,v3);
         # pair (v1,v3): levels -2, 0, 2 are singletons; pairs (v1,v2) and
-        # (v2,v3) each have one level set of size 2
+        # (v2,v3) each have one non-zero level set of size 2:
         # V - C(v1,v2;1), V - C(v2,v3;-1), then V - {v1}, V - {v2}, V - {v3}
-        assert fam.sets == (0b001, 0b100, 0b110, 0b101, 0b011)
+        assert fam.sets == (0b111, 0b101, 0b111,
+                            0b001, 0b100, 0b110, 0b101, 0b011)
+
+
+def _inclusions(g):
+    """Check, on g, the family inclusions behind the lower bounds that
+    ``all_invariants`` starts beta_M and psi from, against the
+    definitional layouts in conftest: the mixed family with all n m
+    vertex-edge sets, and the psi family of level sets."""
+    d = _dist(g)
+    rows = Rows(g, d)
+    full = (1 << g.n) - 1
+    vertex = vertex_pair_family(g, d, rows=rows)
+    edge = edge_pair_family(g, d, rows=rows)
+    strict = family_strict(g, d, rows=rows)
+    weak = family_weak(g, d, rows=rows).sets
+    old_mixed = set(vertex.sets + edge.sets + reference_cross(g, d))
+    # each vertex, edge and strict set is a set of the n m mixed family
+    assert old_mixed.issuperset(strict.sets)
+    # ... which the composed mixed family equals as a set of sets
+    mixed = compose_mixed_family(g, d, vertex, edge, strict, rows=rows)
+    assert set(mixed.sets) == old_mixed
+    # each vertex and weak set is V or a set of the psi family
+    levels = set(reference_psi_levels(g, d))
+    assert all(s == full or s in levels for s in vertex.sets + weak)
+    # ... which the composed psi family equals as a set of sets, up to V
+    psi = psi_family(g, d, vertex, rows=rows)
+    assert set(psi.sets) | {full} == levels | {full}
+
+
+class TestInclusions:
+    def test_every_class_up_to_8(self):
+        count = 0
+        for n in range(3, 9):
+            for g in GraphSource.enumeration(n).graphs():
+                _inclusions(g)
+                count += 1
+        assert count == 12111  # OEIS A001349, n = 3..8
+
+    def test_panel_members(self):
+        members = panel_members()
+        assert len(members) == 150
+        for _, _, g, _ in members:
+            _inclusions(g)

@@ -18,17 +18,16 @@ from resolvability import (
     vertex_pair_family,
 )
 from resolvability.extremal import GraphSource
-from resolvability.families import psi_family
 from resolvability.graph import bits_list, mask_of
 from resolvability.hitting import (
-    SMALL_UNIVERSE, _branch_and_bound, _reduce, small_min_hitting)
+    SMALL_UNIVERSE, _branch_and_bound, reduce_family, small_min_hitting)
 
 from conftest import (
     brute_force_min_hitting,
     mixed_pair_family,
+    psi_pair_family,
     random_connected_graph,
     random_hitting_instance,
-    strict_family,
 )
 
 
@@ -41,7 +40,7 @@ class TestVerify:
     def test_path_endpoints_hit_strict_family(self):
         g = path(5)
         d = all_pairs_distances(g)
-        fam = family_strict(g, d, family_weak(g, d))
+        fam = family_strict(g, d)
         assert verify_hitting(fam.sets, mask_of((0, 4)))
 
     def test_empty_family_vacuous(self):
@@ -59,7 +58,7 @@ class TestExact:
         n = 6
         g = star(n)
         d = all_pairs_distances(g)
-        fam = family_strict(g, d, family_weak(g, d))
+        fam = family_strict(g, d)
         sol = min_hitting_exact(n, fam.sets)
         assert bits_list(sol) == tuple(range(1, n))
 
@@ -121,15 +120,15 @@ class TestOracleEquivalence:
         assert min_hitting_exact(n, sets) == brute_force_min_hitting(n, sets)
 
 
-# builder name -> builder from (g, dist); the strict and mixed entries
+# builder name -> builder from (g, dist); the mixed and psi entries
 # first build the families their builders take
 RESOLVER_BUILDERS = {
-    "family_strict": strict_family,
+    "family_strict": family_strict,
     "family_weak": family_weak,
     "vertex_pair_family": vertex_pair_family,
     "edge_pair_family": edge_pair_family,
     "mixed_pair_family": mixed_pair_family,
-    "psi_family": psi_family,
+    "psi_family": psi_pair_family,
 }
 
 
@@ -183,7 +182,7 @@ class TestSmallMinHitting:
 
 def _reduce_by_comparison(sets):
     """The reductions as a comparison of each set with every kept set:
-    the reference that ``_reduce``'s transposed pass must match."""
+    the reference that ``reduce_family``'s transposed pass must match."""
     forced = 0
     work = set(sets)
     while True:
@@ -227,12 +226,31 @@ class TestReduce:
         for n in range(1, 63):
             for _ in range(12):
                 sets = _nested_family(rng, n)
-                assert _reduce(n, sets) == _reduce_by_comparison(sets)
+                assert reduce_family(n, sets) == _reduce_by_comparison(sets)
 
     def test_matches_comparison_on_dense_edge_family(self):
         # 267 edges, 35,511 edge pair sets, 3,333 left after the rules
         g = random_connected_graph(random.Random(0), 32, 32)
         sets = edge_pair_family(g, all_pairs_distances(g)).sets
-        forced, kept = _reduce(g.n, sets)
+        forced, kept = reduce_family(g.n, sets)
         assert (forced, kept) == _reduce_by_comparison(sets)
         assert len(kept) > 3000
+
+    def test_reduction_of_reduced_parts(self):
+        # a family made of reduced families and further sets reduces, from
+        # their forced vertices and kept sets, to what the whole family
+        # reduces to: the composed beta_M and psi reductions rest on it
+        rng = random.Random(63)
+        for n in range(1, 40):
+            for _ in range(8):
+                parts = [_nested_family(rng, n)
+                         for _ in range(rng.randint(1, 3))]
+                own = _nested_family(rng, n)[:rng.randint(0, 20)]
+                forced, kept = 0, []
+                for part in parts:
+                    part_forced, part_kept = reduce_family(n, part)
+                    forced |= part_forced
+                    kept += part_kept
+                whole = [s for part in parts for s in part] + own
+                assert (reduce_family(n, kept + own, forced)
+                        == reduce_family(n, whole))

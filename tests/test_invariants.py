@@ -7,6 +7,7 @@ from math import comb
 import pytest
 
 from resolvability import (
+    Graph,
     GraphError,
     all_invariants,
     all_pairs_distances,
@@ -30,8 +31,10 @@ from resolvability.canon import canonical_form
 from resolvability.graph import mask_of
 from resolvability.invariants import TAGS, result_record
 from resolvability.graph6 import write_graph6
+from resolvability.hitting import reduce_family
 
-from conftest import random_connected_graph, slot_unpack_enumeration
+from conftest import (
+    panel_members, random_connected_graph, slot_unpack_enumeration)
 
 
 def brute_force_psi(dist):
@@ -271,54 +274,60 @@ class TestPipeline:
     def _count_kernel_sets(monkeypatch, names):
         """Wrap the builders ``names`` in ``families`` so that ``calls``
         records each of their calls and ``built`` the number of sets each
-        ``_pair_family`` call made inside one of them yields."""
+        call of the bit-plane kernel ``_fold`` made inside one of them
+        yields."""
         calls = []
         built = []
         active = []
         for name in names:
-            def counted(*args, _name=name, _f=getattr(families, name)):
+            def counted(*args, _name=name, _f=getattr(families, name),
+                        **kwargs):
                 calls.append(_name)
                 active.append(_name)
                 try:
-                    return _f(*args)
+                    return _f(*args, **kwargs)
                 finally:
                     active.pop()
             monkeypatch.setattr(families, name, counted)
-        pair_family = families._pair_family
+        fold = families._fold
 
-        def counted_pair_family(*args):
-            result = pair_family(*args)
+        def counted_fold(*args):
+            result = fold(*args)
             if active:
                 built.append(len(result))
             return result
 
-        monkeypatch.setattr(families, "_pair_family", counted_pair_family)
+        monkeypatch.setattr(families, "_fold", counted_fold)
         return calls, built
 
     def test_pair_sets_built_once(self, monkeypatch):
         # all six invariants build the vertex and edge pair families once;
-        # beta_M's family reuses them and computes only the vertex-edge
-        # pairs, so every pair resolver set is computed exactly once. The
-        # W-set and psi builders share the kernel, so only its calls from
-        # the three pair builders are counted
+        # beta_M's family reuses them and the strict family and computes
+        # only the cross sets of a vertex and an edge not containing it,
+        # so every pair resolver set is computed exactly once. The W-set
+        # builders share the kernel, so only its calls from the three
+        # pair builders are counted
         calls, built = self._count_kernel_sets(monkeypatch, (
             "vertex_pair_family", "edge_pair_family", "compose_mixed_family"))
         for g in (t_prime_tree(9), complete_bipartite(3, 4),
-                  random_connected_graph(random.Random(5), 6, 9)):
+                  random_connected_graph(random.Random(5), 6, 9),
+                  t_prime_tree(12)):
             calls.clear()
             built.clear()
             all_invariants(g)
             n, m = g.n, g.num_edges()
             assert sorted(calls) == ["compose_mixed_family",
                                      "edge_pair_family", "vertex_pair_family"]
-            assert sum(built) == comb(n, 2) + comb(m, 2) + n * m
+            assert sum(built) == comb(n, 2) + comb(m, 2) + (n - 2) * m
 
-    @pytest.mark.parametrize("tags", [TAGS, ("mhs_strict",),
-                                      ("mhs_weak", "mhs_strict")],
-                             ids=["all", "strict", "weak_strict"])
-    def test_w_sets_built_once(self, monkeypatch, tags):
-        # the kernel yields the 2m sets Wbar(u,v), Wbar(v,u) once per
-        # graph; the strict family complements them and builds none
+    @pytest.mark.parametrize("tags, builders", [
+        (TAGS, ["family_strict", "family_weak"]),
+        (("mhs_strict",), ["family_strict"]),
+        (("mhs_weak", "mhs_strict"), ["family_strict", "family_weak"]),
+    ], ids=["all", "strict", "weak_strict"])
+    def test_w_sets_built_once(self, monkeypatch, tags, builders):
+        # the kernel yields the 2m strict sets W(u,v), W(v,u) once per
+        # graph; the weak family complements them and builds none
         calls, built = self._count_kernel_sets(
             monkeypatch, ("family_strict", "family_weak"))
         for g in (t_prime_tree(9), complete_bipartite(3, 4),
@@ -326,8 +335,61 @@ class TestPipeline:
             calls.clear()
             built.clear()
             all_invariants(g, tags)
-            assert sorted(calls) == ["family_strict", "family_weak"]
+            assert sorted(calls) == builders
             assert sum(built) == 2 * g.num_edges()
+
+    def test_edge_rows_built_once(self, monkeypatch):
+        # one edge list and one set of edge rows per call, whichever
+        # builders read them
+        counts = {"edges": 0, "rows": 0}
+        edges, edge_rows = Graph.edges, families._edge_distance_rows
+
+        def counted_edges(self):
+            counts["edges"] += 1
+            return edges(self)
+
+        def counted_rows(*args):
+            counts["rows"] += 1
+            return edge_rows(*args)
+
+        monkeypatch.setattr(Graph, "edges", counted_edges)
+        monkeypatch.setattr(families, "_edge_distance_rows", counted_rows)
+        for g in (complete(7), t_prime_tree(12),
+                  random_connected_graph(random.Random(5), 10, 14)):
+            for tags in (TAGS, ("beta_M",), ("mhs_weak", "beta_E"), ("psi",)):
+                counts.update(edges=0, rows=0)
+                all_invariants(g, tags)
+                assert counts["edges"] <= 1 and counts["rows"] <= 1
+
+    def test_bounds_and_reductions_reach_the_solver(self, monkeypatch):
+        # above SMALL_UNIVERSE, beta_M's search starts at the largest of
+        # the beta, beta_E and mhs_strict optima, and psi's at the larger
+        # of the beta and mhs_weak optima; every solve gets a reduction
+        # with the hitting sets of its family, and a composed family's
+        # reduction equals that of its whole family
+        seen = {}
+        solver = invariants.min_hitting_exact
+
+        def recorded(n, sets, lower, reduced):
+            seen[len(seen)] = (sets, lower, reduced)
+            return solver(n, sets, lower, reduced)
+
+        monkeypatch.setattr(invariants, "min_hitting_exact", recorded)
+        for g in (t_prime_tree(12), PINNED[1][0](),
+                  random_connected_graph(random.Random(7), 10, 14)):
+            seen.clear()
+            got = all_invariants(g)
+            v = {tag: r.value for tag, r in got.items()}
+            by_order = dict(zip(invariants._ORDER, seen.values()))
+            want = {"beta_M": max(v["beta"], v["beta_E"], v["mhs_strict"]),
+                    "psi": max(v["beta"], v["mhs_weak"]),
+                    "mhs_strict": v["mhs_weak"]}
+            for tag, (sets, lower, reduced) in by_order.items():
+                assert lower == want.get(tag, 0)
+                assert reduced == reduce_family(g.n, sets)
+        seen.clear()
+        all_invariants(cycle(9))
+        assert all(reduced is None for _, _, reduced in seen.values())
 
     def test_no_cyclic_garbage(self):
         # a call leaves nothing that only the cyclic collector can free
@@ -343,14 +405,13 @@ class TestPipeline:
 
     def test_families_freed_after_last_use(self, monkeypatch):
         # at each solve, only the families a tag still to solve needs are
-        # alive: beta's and beta_E's live on for beta_M, and mhs_weak's is
-        # alive at mhs_strict's solve, having been built for it
+        # alive
         refs = []
         for name in ("vertex_pair_family", "edge_pair_family",
                      "compose_mixed_family", "psi_family", "family_strict",
                      "family_weak"):
-            def recorded(*args, _f=getattr(families, name)):
-                result = _f(*args)
+            def recorded(*args, _f=getattr(families, name), **kwargs):
+                result = _f(*args, **kwargs)
                 refs.append(weakref.ref(result))
                 return result
             monkeypatch.setattr(families, name, recorded)
@@ -363,9 +424,12 @@ class TestPipeline:
 
         monkeypatch.setattr(invariants, "min_hitting_exact", counted)
         all_invariants(cycle(6))
-        assert alive == [1, 2, 3, 1, 2, 1]
-        for tags, expected in ((("beta_M", "psi", "beta"), [3, 2, 1]),
-                               (("mhs_strict",), [2])):
+        # solved in the order beta, beta_E, mhs_weak, mhs_strict, beta_M,
+        # psi: beta's family lives on for beta_M and psi, beta_E's and
+        # mhs_strict's for beta_M
+        assert alive == [1, 2, 3, 3, 4, 2]
+        for tags, expected in ((("beta_M", "psi", "beta"), [1, 4, 2]),
+                               (("mhs_strict",), [1])):
             refs.clear()
             alive.clear()
             all_invariants(cycle(6), tags)
@@ -424,3 +488,17 @@ def test_pinned_witnesses(make, graph6, expected):
     assert write_graph6(g) == graph6
     got = {tag: (r.value, r.witness) for tag, r in all_invariants(g).items()}
     assert got == expected
+
+
+_PANEL_STRATA = list(dict.fromkeys(stratum for stratum, *_ in panel_members()))
+
+
+@pytest.mark.parametrize("stratum", _PANEL_STRATA)
+def test_panel_members(stratum):
+    # every member of the benchmark panel (n = 8..24), values and
+    # 1-based witnesses as recorded in perfbench/data/panel.json
+    for _, _, g, record in (m for m in panel_members() if m[0] == stratum):
+        assert write_graph6(g) == record["graph6"]
+        for tag, r in all_invariants(g).items():
+            assert (r.value, r.witness_labels()) == (
+                record[tag], record["witnesses"][tag]), (record["graph6"], tag)

@@ -28,6 +28,7 @@ from .graph import (
 )
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .families import (
+    Rows,
     SetFamily,
     edge_pair_family,
     family_strict,

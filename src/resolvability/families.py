@@ -1,8 +1,8 @@
 """Distance-derived resolver families.
 
-Every builder reads its graph's distance rows from one ``Rows`` object,
-which makes the edge list, the edge rows and each form of the rows at
-most once per graph; a builder given no ``rows`` makes its own.
+Every builder takes one graph's ``Rows``, which makes the edge list,
+the edge rows and each form of the distance rows at most once, and the
+built families its own family is composed of.
 
 Most sets are resolver sets {w : d(x,w) != d(y,w)} of two items x, y
 with distance rows. Those come from bit-plane rows: a row holds, in
@@ -20,38 +20,60 @@ together. An edge uv has the row d(e, .) = min(d(u, .), d(v, .)).
   {w : d(u,w) >= d(v,w)} being the complement of W(u,v);
 - mixed family (beta_M): the resolver sets of all pairs of items
   (vertices and edges). Its vertex-edge sets with the vertex on the
-  edge are the strict sets, so it is the vertex, edge and strict
-  families followed by the (n - 2)m cross sets of a vertex and an edge
-  not containing it, and ``compose_mixed_family`` builds only those;
+  edge are the strict sets, so it is composed of the vertex, edge and
+  strict families, followed by the (n - 2)m cross sets of a vertex and
+  an edge not containing it, the only sets ``compose_mixed_family``
+  computes;
 - psi family: its hitting sets are the doubly resolving sets. It keeps
   byte rows, one int holding d(u, w) in byte w: byte s of row_u +
   64 ONES - row_v, ONES holding 1 in each byte, is d(u,s) - d(v,s) + 64
   with no borrow, so the complement of each level set of (u, v) is one
   byte translation of that row away. The complement of a pair's
   level-0 set is the pair's vertex resolver set, so ``psi_family`` is
-  the vertex family followed by the complements of the other level
-  sets and the sets V - {s}.
+  composed of the vertex family, followed by the complements of the
+  other level sets and the sets V - {s}.
 
-A family built from other families starts with their sets, in the order
-the builder takes them, so it contains each of them; that is what makes
-their optima lower bounds of its own. A family is its sets alone, in
-the order its builder documents. All set-building functions are pure
-functions of immutable inputs.
+A family composed of others (its ``parts``) starts with their sets, in
+the order its builder takes them, so it contains each of them; that is
+what makes their optima lower bounds of its own. All set-building
+functions are pure functions of immutable inputs.
 """
 
 from functools import cached_property
 from itertools import combinations, repeat, starmap
 from operator import xor
 
+from .hitting import reduce_family
+
 
 class SetFamily:
-    """Ordered family of vertex subsets (bitmasks) over universe 0..n-1."""
+    """Ordered family of vertex subsets (bitmasks) over universe 0..n-1:
+    the sets of the families ``parts`` it is composed of, in order, then
+    its own ``sets``. It compares, hashes and prints as ``n`` and the
+    whole ``sets`` alone."""
 
-    __slots__ = ("n", "sets", "__weakref__")
+    __slots__ = ("n", "sets", "parts", "_own", "_reduced", "__weakref__")
 
-    def __init__(self, n, sets):
+    def __init__(self, n, sets, parts=()):
         self.n = n
-        self.sets = sets
+        self.sets = sum([part.sets for part in parts], ()) + sets
+        self.parts = parts
+        self._own = sets
+        self._reduced = None
+
+    def reduction(self):
+        """The ``(forced, kept)`` pair of ``reduce_family``, which has
+        the hitting sets of ``sets``, made on first use and then kept.
+        A composed family's is made from its parts' and its own sets."""
+        if self._reduced is None:
+            forced, kept = 0, []
+            for part in self.parts:
+                part_forced, part_kept = part.reduction()
+                forced |= part_forced
+                kept += part_kept
+            self._reduced = reduce_family(self.n, kept + list(self._own),
+                                          forced)
+        return self._reduced
 
     def __eq__(self, other):
         return (isinstance(other, SetFamily) and self.n == other.n
@@ -144,57 +166,48 @@ class Rows:
         return self.fold(map(xor, ends, doubled))
 
 
-def _rows(g, dist, rows):
-    """The given ``Rows`` of g, or new ones."""
-    return rows if rows is not None else Rows(g, dist)
-
-
-def family_weak(g, dist, *, rows=None):
+def family_weak(rows):
     """Family {Wbar_uv, Wbar_vu} over all edges in canonical order, the
     (u, v) set before the (v, u) set; its minimum hitting set size is
     mhs_<=(G). Each set is the complement of the strict set at its
     place."""
-    full = (1 << g.n) - 1
-    return SetFamily(g.n, tuple(
-        [full ^ s for s in _rows(g, dist, rows).strict_sets]))
+    full = (1 << rows.n) - 1
+    return SetFamily(rows.n, tuple([full ^ s for s in rows.strict_sets]))
 
 
-def family_strict(g, dist, *, rows=None):
+def family_strict(rows):
     """Family {W_uv, W_vu} over all edges in canonical order, the (u, v)
     set before the (v, u) set; its minimum hitting set size is
     mhs_<(G)."""
-    return SetFamily(g.n, _rows(g, dist, rows).strict_sets)
+    return SetFamily(rows.n, rows.strict_sets)
 
 
-def vertex_pair_family(g, dist, *, rows=None):
+def vertex_pair_family(rows):
     """One resolver set per unordered pair of distinct vertices:
     {w : d(u,w) != d(v,w)}."""
-    rows = _rows(g, dist, rows)
-    return SetFamily(g.n, rows.fold(
+    return SetFamily(rows.n, rows.fold(
         starmap(xor, combinations(rows.planes, 2))))
 
 
-def edge_pair_family(g, dist, *, rows=None):
+def edge_pair_family(rows):
     """One resolver set per unordered pair of distinct edges."""
-    rows = _rows(g, dist, rows)
-    return SetFamily(g.n, rows.fold(
+    return SetFamily(rows.n, rows.fold(
         starmap(xor, combinations(rows.edge_planes, 2))))
 
 
-def compose_mixed_family(g, dist, vertex, edge, strict, *, rows=None):
-    """The mixed pair family from g's built vertex, edge and strict
-    families: their sets, then, edge by edge in canonical order, the
-    resolver sets of the edge and each vertex not on it, in vertex
+def compose_mixed_family(rows, vertex, edge, strict):
+    """The mixed pair family composed of the graph's built vertex, edge
+    and strict families, followed, edge by edge in canonical order, by
+    the resolver sets of the edge and each vertex not on it, in vertex
     order. Only those (n - 2)m sets are computed."""
-    rows = _rows(g, dist, rows)
     planes = rows.planes
     left, right = [], []
     for (u, v), e in zip(rows.edges, rows.edge_planes):
         others = planes[:u] + planes[u + 1:v] + planes[v + 1:]
         left += others
         right += repeat(e, len(others))
-    return SetFamily(g.n, vertex.sets + edge.sets + strict.sets
-                     + rows.fold(map(xor, left, right)))
+    return SetFamily(rows.n, rows.fold(map(xor, left, right)),
+                     (vertex, edge, strict))
 
 
 # LEVEL[k] is a bytes.translate table mapping byte k to "0" and every
@@ -220,9 +233,9 @@ def _psi_level_sets(n, packed):
     return tuple(sets)
 
 
-def psi_family(g, dist, vertex, *, rows=None):
+def psi_family(rows, vertex):
     """Family whose minimum hitting sets are the minimum doubly resolving
-    sets, from g's built vertex pair family.
+    sets, composed of the graph's built vertex pair family.
 
     A pair (u, v) is doubly resolved by S iff s -> d(u,s) - d(v,s) is
     non-constant on S, i.e. S lies inside none of its level sets C, i.e.
@@ -231,15 +244,14 @@ def psi_family(g, dist, vertex, *, rows=None):
     two vertices). The complement of the level-0 set of (u, v) is their
     vertex resolver set, which is V or contains some V - {s} when that
     level set has fewer than two vertices. So the family is the vertex
-    family's sets, then, for each pair u < v in turn, V - C for each
-    level set C of a non-zero value with |C| >= 2 in order of its least
-    vertex, then {V - {s} : s in V}.
+    family, then, for each pair u < v in turn, V - C for each level set
+    C of a non-zero value with |C| >= 2 in order of its least vertex,
+    then {V - {s} : s in V}.
     """
-    n = g.n
+    n = rows.n
     full = (1 << n) - 1
-    levels = _psi_level_sets(n, _rows(g, dist, rows).packed)
-    return SetFamily(n, vertex.sets + levels
-                     + tuple([full ^ 1 << s for s in range(n)]))
+    return SetFamily(n, _psi_level_sets(n, rows.packed)
+                     + tuple([full ^ 1 << s for s in range(n)]), (vertex,))
 
 
 def is_doubly_resolving(dist, members):

@@ -8,6 +8,8 @@ and allocation-free.
 
 from itertools import combinations
 
+from .hitting import MAX_UNIVERSE
+
 
 class GraphError(ValueError):
     """Invalid graph input (bad index, self-loop, parameter out of range)."""
@@ -251,6 +253,14 @@ GENERATORS = {
 }
 
 
+def _check_order(n):
+    """Raise GraphError for an order above the invariants' cap, before
+    anything of that size is built."""
+    if n > MAX_UNIVERSE:
+        raise GraphError(
+            f"graph order {n} exceeds {MAX_UNIVERSE}, the largest supported")
+
+
 def generate(spec):
     """Build a family graph from a spec string like ``path:7`` or
     ``bipartite:2,5``."""
@@ -268,6 +278,7 @@ def generate(spec):
         raise GraphError(f"non-integer parameter in family spec {spec!r}") from None
     if len(params) != arity:
         raise GraphError(f"family {name!r} takes {arity} parameter(s), got {params}")
+    _check_order(sum(params))  # each family's order: its parameters' sum
     return fn(*params)
 
 
@@ -284,6 +295,7 @@ def parse_edge_list_text(text):
         n, m = map(int, lines[0][1].split())
     except ValueError:
         raise GraphError(f"bad header line {lines[0][1]!r}, expected 'n m'") from None
+    _check_order(n)
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

@@ -22,15 +22,14 @@ over k's vertices. The transposition runs in C: every set fills a
 fixed-width lane of one int, and the vertices are the columns of that
 int's binary text. The search runs on the family's reduction
 (forced singletons, then dominated-set removal in one pass over the
-transposed family), which a caller that has it already hands in; the
-reduction of a family made of reduced families and further sets starts
-from their forced vertices and kept sets. It branches on vertices in
-increasing index order under a budget that grows from a given lower
-bound on the optimum, or 1; it drops a node when an unhit set has only
-vertices it already skipped, or when a disjoint packing of unhit sets,
-cut to the vertices it may still choose, needs more than the budget.
-Both prunes drop only subtrees without a solution, so the first
-solution found is both minimum and lexicographically smallest.
+transposed family), which a caller may hand in as a function that only
+this path calls. It branches on vertices in increasing index order
+under a budget that grows from a given lower bound on the optimum, or
+1; it drops a node when an unhit set has only vertices it already
+skipped, or when a disjoint packing of unhit sets, cut to the vertices
+it may still choose, needs more than the budget. Both prunes drop only
+subtrees without a solution, so the first solution found is both
+minimum and lexicographically smallest.
 """
 
 from functools import cache, reduce
@@ -276,14 +275,15 @@ def min_hitting_exact(n, sets, lower=0, reduced=None):
 
     For n > SMALL_UNIVERSE, ``lower`` is a lower bound on the optimum,
     such as the optimum of a family each of whose sets contains one of
-    ``sets``, and the search starts its budgets there; ``reduced`` is
-    the ``(forced, kept)`` pair of a reduction with the same hitting
-    sets as ``sets``, such as ``reduce_family(n, sets)``, and the search
-    starts from it in place of reducing ``sets``. The subset tables for
-    smaller n read ``sets`` whole and need neither.
+    ``sets``, and the search starts its budgets there; ``reduced``, if
+    given, is called with no arguments for the ``(forced, kept)`` pair
+    of a reduction with the same hitting sets as ``sets``, such as
+    ``SetFamily.reduction``, and the search starts from it in place of
+    ``reduce_family(n, sets)``. The subset tables for smaller n read
+    ``sets`` whole and use neither.
     """
     if n <= SMALL_UNIVERSE:
         return small_min_hitting(n, sets)
     _check_instance(n, sets)
-    forced, work = reduce_family(n, sets) if reduced is None else reduced
+    forced, work = reduce_family(n, sets) if reduced is None else reduced()
     return _search(n, forced, work, lower)

@@ -2,28 +2,22 @@
 
 Every invariant is one pipeline: distance rows, then a set family, then
 the exact hitting-set solver, then a witness check. ``_PIPELINE`` maps
-each tag to the name of the function in ``families`` that builds its
-family, the tags whose families that function takes, and any check
-beyond hitting the family. mhs_strict and mhs_weak are minimum hitting
-sets of the strict/weak W-set families; beta and beta_E of the vertex-
-and edge-pair resolver families; beta_M of the mixed family, which is
-the beta, beta_E and mhs_strict families followed by the cross sets of
-a vertex and an edge not containing it; psi (the doubly metric
-dimension) of the psi family, the beta family followed by the other
-level sets, whose hitting sets are exactly the doubly resolving sets.
+each tag to the name of the builder in ``families`` that makes its
+family from the graph's ``Rows``, the tags whose families it is
+composed of, and any check beyond hitting the family. beta and beta_E
+are minimum hitting sets of the vertex and edge pair resolver
+families, mhs_strict and mhs_weak of the strict and weak W-set
+families, beta_M of the mixed family and psi (the doubly metric
+dimension) of the psi family, whose hitting sets are exactly the
+doubly resolving sets.
 
-``all_invariants(g, tags)`` runs the tags it is given from one distance
-matrix and one ``families.Rows``, so the edge list and each form of the
-rows are made once, and builds each family at most once: beta_M reuses
-the beta, beta_E and mhs_strict families, psi the beta family, and both
-W-set families read the same strict sets. It solves the tags in
-``_ORDER``, each after the tags in its ``_BELOW``: every set of their
-families contains a set of its own, so their optima bound its optimum
-below, and for n > 9 its search starts there. For n > 9 each family is
-also reduced once, and the reduction of a family built from others
-starts from their reductions and adds only the sets that follow
-theirs. Families and reductions are dropped after their last use.
-Every witness hits its whole family, and a psi witness is also
+``all_invariants(g, tags)`` builds each family it needs once, from one
+distance matrix and one ``Rows``, and solves the tags in ``_ORDER``,
+each after the tags in its ``_BELOW``, whose optima bound its own
+below, so its search starts there. The solver takes each family's
+``reduction`` and makes it only if it searches; a composed family's is
+made from those of its parts. Families are dropped after their last
+use. Every witness hits its whole family, and a psi witness is also
 re-checked by the two-witness definition (``is_doubly_resolving``),
 before it leaves this module.
 """
@@ -32,8 +26,7 @@ from collections import namedtuple
 
 from . import families as fam
 from .graph import GraphError, all_pairs_distances, bits_list
-from .hitting import (MAX_UNIVERSE, SMALL_UNIVERSE, min_hitting_exact,
-                      reduce_family, verify_hitting)
+from .hitting import MAX_UNIVERSE, min_hitting_exact, verify_hitting
 
 TAGS = ("beta", "beta_E", "beta_M", "psi", "mhs_strict", "mhs_weak")
 
@@ -46,10 +39,10 @@ def check_tags(tags):
 
 
 # tag -> (name of its builder in ``families``, tags whose families it
-# takes after the graph and distances, witness check on (distances,
-# witness) or None). A family built from others starts with their sets,
-# in this order. Builders are looked up by name at call time, so a
-# wrapper installed there (a counting one in the tests) sees every build.
+# takes after the rows, in the order its family holds their sets,
+# witness check on (distances, witness) or None). Builders are looked up
+# by name at call time, so a wrapper installed there (a counting one in
+# the tests) sees every build.
 _PIPELINE = {
     "beta": ("vertex_pair_family", (), None),
     "beta_E": ("edge_pair_family", (), None),
@@ -85,11 +78,12 @@ class InvariantResult(namedtuple("InvariantResult", "tag value witness")):
         return [v + 1 for v in self.witness]
 
 
-def _solve(tag, family, dist, lower, reduced):
+def _solve(tag, family, dist, lower):
     sets = family.sets
     # only P_2's edge-pair family is empty (one edge, no pair to resolve);
     # the closed form beta_E(P_n) = 1 covers n = 2, with witness {v_1}
-    mask = min_hitting_exact(family.n, sets, lower, reduced) if sets else 1
+    mask = (min_hitting_exact(family.n, sets, lower, family.reduction)
+            if sets else 1)
     witness = bits_list(mask)
     check = _PIPELINE[tag][2]
     valid = verify_hitting(sets, mask) and (not check or check(dist, witness))
@@ -98,32 +92,13 @@ def _solve(tag, family, dist, lower, reduced):
     return InvariantResult(tag, len(witness), witness)
 
 
-def _family(tag, g, dist, rows, built):
+def _family(tag, rows, built):
     """tag's family from ``built`` (tag -> family), built there first."""
     if tag not in built:
         name, parts, _ = _PIPELINE[tag]
         built[tag] = getattr(fam, name)(
-            g, dist, *[_family(part, g, dist, rows, built) for part in parts],
-            rows=rows)
+            rows, *[_family(part, rows, built) for part in parts])
     return built[tag]
-
-
-def _reduction(tag, built, reduced):
-    """tag's ``(forced, kept)`` reduction from ``reduced`` (tag ->
-    reduction), made there first from its built family: that of a
-    family built from others is made from their reductions and the
-    sets that follow theirs."""
-    if tag not in reduced:
-        sets = built[tag].sets
-        parts = _PIPELINE[tag][1]
-        forced, kept = 0, []
-        for part in parts:
-            part_forced, part_kept = _reduction(part, built, reduced)
-            forced |= part_forced
-            kept += part_kept
-        own = sets[sum(len(built[part].sets) for part in parts):]
-        reduced[tag] = reduce_family(built[tag].n, kept + list(own), forced)
-    return reduced[tag]
 
 
 def all_invariants(g, tags=TAGS):
@@ -143,25 +118,19 @@ def all_invariants(g, tags=TAGS):
         raise ValueError(f"universe size {g.n} exceeds {MAX_UNIVERSE}")
     dist = all_pairs_distances(g)
     rows = fam.Rows(g, dist)
-    # the subset tables of small universes read each family whole
-    reducing = g.n > SMALL_UNIVERSE
     order = sorted(tags, key=_ORDER.index)
     built = {}  # tag -> family, kept while a tag still to solve needs it
-    reduced = {}  # tag -> (forced, kept), the same
     results = {}
     for i, tag in enumerate(order):
-        family = _family(tag, g, dist, rows, built)
+        family = _family(tag, rows, built)
         lower = max([results[t].value for t in _BELOW.get(tag, ())
                      if t in results], default=0)
-        results[tag] = _solve(tag, family, dist, lower,
-                              _reduction(tag, built, reduced) if reducing
-                              else None)
+        results[tag] = _solve(tag, family, dist, lower)
         # families are the bulk of the memory, so each goes after its
         # last use
         later = {t for u in order[i + 1:] for t in (u, *_PIPELINE[u][1])}
         for done in built.keys() - later:
             del built[done]
-            reduced.pop(done, None)
     return {tag: results[tag] for tag in tags}
 
 

@@ -13,7 +13,7 @@ from collections import namedtuple
 
 from . import graph as gr
 from .extremal import THEOREM_PAIRS, sources, sweep
-from .families import edge_pair_family
+from .families import Rows, edge_pair_family
 from .hitting import verify_hitting
 from .invariants import all_invariants
 from .graph import mask_of
@@ -146,7 +146,7 @@ def verify_tprime_construction(n):
         "tprime-betaE", n, f"beta_E(T'_{n}) = 2",
         results["beta_E"].value == 2, f"computed {results['beta_E'].value}"))
     base = mask_of((0, n - m))  # v_1 and v_{n-m+1}
-    family = edge_pair_family(g, gr.all_pairs_distances(g))
+    family = edge_pair_family(Rows(g, gr.all_pairs_distances(g)))
     checks.append(CheckResult(
         "tprime-base", n,
         f"{{v_1, v_{n - m + 1}}} is an edge resolving set of T'_{n}",

@@ -119,22 +119,19 @@ def unfiltered_class_forms(n):
     return frozenset(forms)
 
 
-def mixed_pair_family(g, dist):
-    """The mixed pair family as the beta_M pipeline builds it: the
-    vertex, edge and strict families, then the cross sets of a vertex
-    and an edge not containing it."""
-    rows = Rows(g, dist)
-    return compose_mixed_family(
-        g, dist, *[build(g, dist, rows=rows) for build in (
-            vertex_pair_family, edge_pair_family, family_strict)], rows=rows)
+def mixed_pair_family(rows):
+    """The mixed pair family as the beta_M pipeline builds it from the
+    graph's ``Rows``: composed of the vertex, edge and strict families,
+    then the cross sets of a vertex and an edge not containing it."""
+    return compose_mixed_family(rows, *[build(rows) for build in (
+        vertex_pair_family, edge_pair_family, family_strict)])
 
 
-def psi_pair_family(g, dist):
-    """The psi family as the psi pipeline builds it: the vertex pair
-    family, then the complements of the other level sets and V - {s}."""
-    rows = Rows(g, dist)
-    return psi_family(
-        g, dist, vertex_pair_family(g, dist, rows=rows), rows=rows)
+def psi_pair_family(rows):
+    """The psi family as the psi pipeline builds it from the graph's
+    ``Rows``: composed of the vertex pair family, then the complements of
+    the other level sets and V - {s}."""
+    return psi_family(rows, vertex_pair_family(rows))
 
 
 def reference_cross(g, dist):

@@ -9,6 +9,7 @@ import random
 import time
 
 from resolvability import (
+    Rows,
     all_invariants,
     all_pairs_distances,
     complete,
@@ -169,8 +170,9 @@ def _w_identity_checks(g, dist, failures):
             return
         strict += (w_uv, w_vu)
         weak += (wb_uv, wb_vu)
-    if (family_strict(g, dist).sets != tuple(strict)
-            or family_weak(g, dist).sets != tuple(weak)):
+    rows = Rows(g, dist)
+    if (family_strict(rows).sets != tuple(strict)
+            or family_weak(rows).sets != tuple(weak)):
         failures.append(f"W-set families on {write_graph6(g)}")
 
 
@@ -186,7 +188,7 @@ def _value_checks(g, v, failures):
 
 
 def _psi_witness_check(g, dist, witness, failures):
-    if not verify_hitting(family_weak(g, dist).sets, mask_of(witness)):
+    if not verify_hitting(family_weak(Rows(g, dist)).sets, mask_of(witness)):
         failures.append(f"doub condition on {write_graph6(g)}")
 
 
@@ -256,7 +258,7 @@ def test_criterion_7_tprime_reproduction():
         if all_invariants(g, ("beta_E",))["beta_E"].value != 2:
             failures.append(f"beta_E(T'_{n})")
         base = mask_of((0, n - m))
-        fam = edge_pair_family(g, all_pairs_distances(g))
+        fam = edge_pair_family(Rows(g, all_pairs_distances(g)))
         if not verify_hitting(fam.sets, base):
             failures.append(f"T'_{n} edge base {{v_1, v_{n - m + 1}}}")
     _report(7, not failures,

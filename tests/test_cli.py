@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from resolvability import graph as gr
 from resolvability.cli import main
 from resolvability.graph import GraphError
 
@@ -82,6 +83,28 @@ class TestCompute:
         code, _, err = run(capsys, "compute", "--edges", str(p))
         assert code == 1
         assert "disconnected" in err
+
+    @pytest.mark.parametrize("option, value, n", [
+        ("--gen", "complete:63", 63),
+        ("--gen", "bipartite:31,32", 63),
+        ("--gen", "tprime:1500", 1500),
+        ("--edges", "100000000 1\n1 2\n", 100000000),
+    ])
+    def test_oversized_graph_fails_before_building(
+            self, capsys, tmp_path, monkeypatch, option, value, n):
+        # the order is checked before any graph is made, so a header or
+        # spec naming a huge graph allocates nothing of its size
+        def unreachable(*args):
+            raise AssertionError("an oversized graph was built")
+
+        monkeypatch.setattr(gr, "from_edge_list", unreachable)
+        if option == "--edges":
+            p = tmp_path / "big.txt"
+            p.write_text(value)
+            value = str(p)
+        code, _, err = run(capsys, "compute", option, value)
+        assert code == 1
+        assert f"graph order {n} exceeds 62" in err
 
     @pytest.mark.parametrize("line, message", [
         ("0 3", "line 2: edge (0, 3) out of range 1..3"),

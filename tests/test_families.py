@@ -21,6 +21,7 @@ from resolvability import (
 from resolvability.extremal import GraphSource
 from resolvability.families import Rows, compose_mixed_family, psi_family
 from resolvability.graph import bits_list, mask_of
+from resolvability.hitting import reduce_family
 
 from conftest import (
     doubly_resolves,
@@ -111,7 +112,7 @@ class TestDefinitionalReference:
         for n in range(2, 8):
             for g in GraphSource.enumeration(n).graphs():
                 d = _dist(g)
-                assert build(g, d).sets == reference(g, d)
+                assert build(Rows(g, d)).sets == reference(g, d)
                 count += 1
         assert count == 995  # OEIS A001349, n = 2..7
 
@@ -121,40 +122,40 @@ class TestDefinitionalReference:
         for _ in range(200):
             g = random_connected_graph(rng, n_max=20)
             d = _dist(g)
-            assert build(g, d).sets == reference(g, d)
+            assert build(Rows(g, d)).sets == reference(g, d)
 
     @_each_reference
     def test_largest_distances(self, build, reference):
         # P_62 has distances up to 61, the most a packed byte meets
         for g in (path(62), cycle(62)):
             d = _dist(g)
-            assert build(g, d).sets == reference(g, d)
+            assert build(Rows(g, d)).sets == reference(g, d)
 
 
 class TestEdgeFamilies:
     def test_weak_k3(self):
         g = complete(3)
-        fam = family_weak(g, _dist(g))
+        fam = family_weak(Rows(g, _dist(g)))
         assert len(fam.sets) == 6
         assert all(m.bit_count() == 2 for m in fam.sets)
 
     def test_strict_p2(self):
         g = path(2)
         d = _dist(g)
-        fam = family_strict(g, d)
+        fam = family_strict(Rows(g, d))
         assert fam.sets == (0b01, 0b10)
 
     def test_strict_star_has_leaf_singletons(self):
         g = star(4)
         d = _dist(g)
-        fam = family_strict(g, d)
+        fam = family_strict(Rows(g, d))
         for leaf in (1, 2, 3):
             assert (1 << leaf) in fam.sets
 
     def test_deterministic_order(self):
         g = cycle(5)
         d = _dist(g)
-        f1, f2 = family_strict(g, d), family_strict(g, d)
+        f1, f2 = family_strict(Rows(g, d)), family_strict(Rows(g, d))
         assert f1 == f2
         # W(v1,v2), then W(v2,v1): the first edge's sets lead
         assert f1.sets[:2] == w_sets(d, 0, 1)[:2]
@@ -164,26 +165,26 @@ class TestEdgeFamilies:
         for g in slot_unpack_enumeration(n):
             d = _dist(g)
             rows = Rows(g, d)
-            assert all(m for m in family_strict(g, d, rows=rows).sets)
-            assert all(m for m in family_weak(g, d, rows=rows).sets)
+            assert all(m for m in family_strict(rows).sets)
+            assert all(m for m in family_weak(rows).sets)
 
 
 class TestPairFamilies:
     def test_p3_vertex_pairs(self):
         g = path(3)
-        fam = vertex_pair_family(g, _dist(g))
+        fam = vertex_pair_family(Rows(g, _dist(g)))
         # pairs in order (v1,v2), (v1,v3), (v2,v3)
         assert bits_list(fam.sets[1]) == (0, 2)
 
     def test_p3_edge_pairs(self):
         g = path(3)
-        fam = edge_pair_family(g, _dist(g))
+        fam = edge_pair_family(Rows(g, _dist(g)))
         assert len(fam.sets) == 1
         assert fam.sets[0] >> 0 & 1  # v_1 resolves the two edges
 
     def test_k2_mixed(self):
         g = path(2)
-        fam = mixed_pair_family(g, _dist(g))
+        fam = mixed_pair_family(Rows(g, _dist(g)))
         # the pair (v1,v2), then the strict sets W(v1,v2) and W(v2,v1),
         # which resolve (v2,e) and (v1,e) for the edge e = v1v2; P_2 has
         # no edge pair, and no vertex off its edge
@@ -192,15 +193,15 @@ class TestPairFamilies:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_mixed_resolver_nonempty_exhaustive(self, n):
         for g in slot_unpack_enumeration(n):
-            fam = mixed_pair_family(g, _dist(g))
+            fam = mixed_pair_family(Rows(g, _dist(g)))
             assert all(m for m in fam.sets)
 
     def test_family_sizes(self):
         g = cycle(4)
-        d = _dist(g)
-        assert len(vertex_pair_family(g, d).sets) == 6
-        assert len(edge_pair_family(g, d).sets) == 6
-        assert len(mixed_pair_family(g, d).sets) == 28
+        rows = Rows(g, _dist(g))
+        assert len(vertex_pair_family(rows).sets) == 6
+        assert len(edge_pair_family(rows).sets) == 6
+        assert len(mixed_pair_family(rows).sets) == 28
 
     def test_mixed_matches_all_item_pairs(self):
         # the same multiset of sets as one resolver set per unordered
@@ -217,10 +218,11 @@ class TestPairFamilies:
             want = Counter(
                 sum(1 << w for w in range(g.n) if x[w] != y[w])
                 for x, y in combinations(rows, 2))
-            fam = mixed_pair_family(g, d)
+            built = Rows(g, d)
+            fam = mixed_pair_family(built)
             assert Counter(fam.sets) == want
-            head = (vertex_pair_family(g, d).sets + edge_pair_family(g, d).sets
-                    + family_strict(g, d).sets)
+            head = (vertex_pair_family(built).sets
+                    + edge_pair_family(built).sets + family_strict(built).sets)
             assert fam.sets[:len(head)] == head
 
 
@@ -252,16 +254,17 @@ class TestPackedRows:
         g = make()
         d = _dist(g)
         edge_rows = [tuple(map(min, d[u], d[v])) for u, v in g.edges()]
-        vertex = vertex_pair_family(g, d)
-        edge = edge_pair_family(g, d)
-        strict = family_strict(g, d)
+        rows = Rows(g, d)
+        vertex = vertex_pair_family(rows)
+        edge = edge_pair_family(rows)
+        strict = family_strict(rows)
         assert vertex.sets == _compared_per_vertex(g.n, combinations(d, 2))
         assert edge.sets == _compared_per_vertex(
             g.n, combinations(edge_rows, 2))
         assert strict.sets == reference_strict(g, d)
         off_edge = [(d[x], row) for (u, v), row in zip(g.edges(), edge_rows)
                     for x in range(g.n) if x not in (u, v)]
-        assert compose_mixed_family(g, d, vertex, edge, strict).sets == (
+        assert compose_mixed_family(rows, vertex, edge, strict).sets == (
             vertex.sets + edge.sets + strict.sets
             + _compared_per_vertex(g.n, off_edge))
 
@@ -317,7 +320,7 @@ class TestPsiFamily:
     def test_hitting_sets_are_doubly_resolving_sets(self, n):
         for g in slot_unpack_enumeration(n):
             d = _dist(g)
-            sets = psi_pair_family(g, d).sets
+            sets = psi_pair_family(Rows(g, d)).sets
             for mask in range(1 << n):
                 members = bits_list(mask)
                 hits = all(mask & s for s in sets)
@@ -326,7 +329,8 @@ class TestPsiFamily:
     def test_p3_sets(self):
         g = path(3)
         d = _dist(g)
-        fam = psi_family(g, d, vertex_pair_family(g, d))
+        rows = Rows(g, d)
+        fam = psi_family(rows, vertex_pair_family(rows))
         # the vertex pair sets V - C(.;0) of (v1,v2), (v1,v3), (v2,v3);
         # pair (v1,v3): levels -2, 0, 2 are singletons; pairs (v1,v2) and
         # (v2,v3) each have one non-zero level set of size 2:
@@ -343,21 +347,21 @@ def _inclusions(g):
     d = _dist(g)
     rows = Rows(g, d)
     full = (1 << g.n) - 1
-    vertex = vertex_pair_family(g, d, rows=rows)
-    edge = edge_pair_family(g, d, rows=rows)
-    strict = family_strict(g, d, rows=rows)
-    weak = family_weak(g, d, rows=rows).sets
+    vertex = vertex_pair_family(rows)
+    edge = edge_pair_family(rows)
+    strict = family_strict(rows)
+    weak = family_weak(rows).sets
     old_mixed = set(vertex.sets + edge.sets + reference_cross(g, d))
     # each vertex, edge and strict set is a set of the n m mixed family
     assert old_mixed.issuperset(strict.sets)
     # ... which the composed mixed family equals as a set of sets
-    mixed = compose_mixed_family(g, d, vertex, edge, strict, rows=rows)
+    mixed = compose_mixed_family(rows, vertex, edge, strict)
     assert set(mixed.sets) == old_mixed
     # each vertex and weak set is V or a set of the psi family
     levels = set(reference_psi_levels(g, d))
     assert all(s == full or s in levels for s in vertex.sets + weak)
     # ... which the composed psi family equals as a set of sets, up to V
-    psi = psi_family(g, d, vertex, rows=rows)
+    psi = psi_family(rows, vertex)
     assert set(psi.sets) | {full} == levels | {full}
 
 
@@ -375,3 +379,17 @@ class TestInclusions:
         assert len(members) == 150
         for _, _, g, _ in members:
             _inclusions(g)
+
+
+def test_reductions_of_panel_families():
+    # each family's reduction equals that of its whole sets: the mixed
+    # and psi families, reduced first, make theirs from their parts'
+    for _, _, g, _ in panel_members():
+        rows = Rows(g, _dist(g))
+        vertex = vertex_pair_family(rows)
+        edge = edge_pair_family(rows)
+        strict = family_strict(rows)
+        for family in (compose_mixed_family(rows, vertex, edge, strict),
+                       psi_family(rows, vertex), vertex, edge, strict,
+                       family_weak(rows)):
+            assert family.reduction() == reduce_family(g.n, family.sets)

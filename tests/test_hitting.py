@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from resolvability import (
     InfeasibleInstanceError,
+    Rows,
     all_pairs_distances,
     complete,
     edge_pair_family,
@@ -18,6 +19,7 @@ from resolvability import (
     vertex_pair_family,
 )
 from resolvability.extremal import GraphSource
+from resolvability.families import SetFamily
 from resolvability.graph import bits_list, mask_of
 from resolvability.hitting import (
     SMALL_UNIVERSE, _branch_and_bound, reduce_family, small_min_hitting)
@@ -40,7 +42,7 @@ class TestVerify:
     def test_path_endpoints_hit_strict_family(self):
         g = path(5)
         d = all_pairs_distances(g)
-        fam = family_strict(g, d)
+        fam = family_strict(Rows(g, d))
         assert verify_hitting(fam.sets, mask_of((0, 4)))
 
     def test_empty_family_vacuous(self):
@@ -51,14 +53,14 @@ class TestExact:
     def test_weak_family_complete_graphs(self):
         for n in range(3, 8):
             g = complete(n)
-            fam = family_weak(g, all_pairs_distances(g))
+            fam = family_weak(Rows(g, all_pairs_distances(g)))
             assert min_hitting_exact(n, fam.sets).bit_count() == 2
 
     def test_strict_family_star(self):
         n = 6
         g = star(n)
         d = all_pairs_distances(g)
-        fam = family_strict(g, d)
+        fam = family_strict(Rows(g, d))
         sol = min_hitting_exact(n, fam.sets)
         assert bits_list(sol) == tuple(range(1, n))
 
@@ -120,8 +122,8 @@ class TestOracleEquivalence:
         assert min_hitting_exact(n, sets) == brute_force_min_hitting(n, sets)
 
 
-# builder name -> builder from (g, dist); the mixed and psi entries
-# first build the families their builders take
+# builder name -> builder from the graph's Rows; the mixed and psi
+# entries first build the families their builders take
 RESOLVER_BUILDERS = {
     "family_strict": family_strict,
     "family_weak": family_weak,
@@ -142,7 +144,7 @@ class TestResolverFamilies:
         rng = random.Random(99)
         for _ in range(60):
             g = random_connected_graph(rng, n_min=4, n_max=9)
-            sets = builder(g, all_pairs_distances(g)).sets
+            sets = builder(Rows(g, all_pairs_distances(g))).sets
             oracle = brute_force_min_hitting(g.n, sets)
             assert small_min_hitting(g.n, sets) == oracle
             for use_reductions in (True, False):
@@ -156,9 +158,9 @@ class TestSmallMinHitting:
         checked = 0
         for n in range(2, 8):
             for g in GraphSource.enumeration(n).graphs():
-                dist = all_pairs_distances(g)
+                rows = Rows(g, all_pairs_distances(g))
                 for builder in RESOLVER_BUILDERS.values():
-                    sets = builder(g, dist).sets
+                    sets = builder(rows).sets
                     if sets:
                         assert (small_min_hitting(n, sets)
                                 == _branch_and_bound(n, sets))
@@ -231,26 +233,21 @@ class TestReduce:
     def test_matches_comparison_on_dense_edge_family(self):
         # 267 edges, 35,511 edge pair sets, 3,333 left after the rules
         g = random_connected_graph(random.Random(0), 32, 32)
-        sets = edge_pair_family(g, all_pairs_distances(g)).sets
+        sets = edge_pair_family(Rows(g, all_pairs_distances(g))).sets
         forced, kept = reduce_family(g.n, sets)
         assert (forced, kept) == _reduce_by_comparison(sets)
         assert len(kept) > 3000
 
     def test_reduction_of_reduced_parts(self):
-        # a family made of reduced families and further sets reduces, from
+        # a family composed of others and further sets reduces, from
         # their forced vertices and kept sets, to what the whole family
         # reduces to: the composed beta_M and psi reductions rest on it
         rng = random.Random(63)
         for n in range(1, 40):
             for _ in range(8):
-                parts = [_nested_family(rng, n)
-                         for _ in range(rng.randint(1, 3))]
-                own = _nested_family(rng, n)[:rng.randint(0, 20)]
-                forced, kept = 0, []
-                for part in parts:
-                    part_forced, part_kept = reduce_family(n, part)
-                    forced |= part_forced
-                    kept += part_kept
-                whole = [s for part in parts for s in part] + own
-                assert (reduce_family(n, kept + own, forced)
+                parts = tuple(SetFamily(n, tuple(_nested_family(rng, n)))
+                              for _ in range(rng.randint(1, 3)))
+                own = tuple(_nested_family(rng, n)[:rng.randint(0, 20)])
+                whole = [s for part in parts for s in part.sets] + list(own)
+                assert (SetFamily(n, own, parts).reduction()
                         == reduce_family(n, whole))

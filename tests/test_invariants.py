@@ -9,6 +9,7 @@ import pytest
 from resolvability import (
     Graph,
     GraphError,
+    Rows,
     all_invariants,
     all_pairs_distances,
     complete,
@@ -31,7 +32,6 @@ from resolvability.canon import canonical_form
 from resolvability.graph import mask_of
 from resolvability.invariants import TAGS, result_record
 from resolvability.graph6 import write_graph6
-from resolvability.hitting import reduce_family
 
 from conftest import (
     panel_members, random_connected_graph, slot_unpack_enumeration)
@@ -145,7 +145,7 @@ class TestDoublyMetricDimension:
         for _ in range(30):
             g = random_connected_graph(rng, n_max=8)
             res = all_invariants(g, ("psi",))["psi"]
-            fam = family_weak(g, all_pairs_distances(g))
+            fam = family_weak(Rows(g, all_pairs_distances(g)))
             assert verify_hitting(fam.sets, mask_of(res.witness))
 
     def test_deterministic_witness(self):
@@ -364,20 +364,28 @@ class TestPipeline:
     def test_bounds_and_reductions_reach_the_solver(self, monkeypatch):
         # above SMALL_UNIVERSE, beta_M's search starts at the largest of
         # the beta, beta_E and mhs_strict optima, and psi's at the larger
-        # of the beta and mhs_weak optima; every solve gets a reduction
-        # with the hitting sets of its family, and a composed family's
-        # reduction equals that of its whole family
+        # of the beta and mhs_weak optima; every solve gets its family's
+        # reduction, made once per family, with the hitting sets of the
+        # family. cycle(9)'s subset tables read each family whole, so no
+        # reduction is made
         seen = {}
-        solver = invariants.min_hitting_exact
+        made = []
+        solver, reduce = invariants.min_hitting_exact, families.reduce_family
 
         def recorded(n, sets, lower, reduced):
             seen[len(seen)] = (sets, lower, reduced)
             return solver(n, sets, lower, reduced)
 
+        def counted(n, *args):
+            made.append(n)
+            return reduce(n, *args)
+
         monkeypatch.setattr(invariants, "min_hitting_exact", recorded)
+        monkeypatch.setattr(families, "reduce_family", counted)
         for g in (t_prime_tree(12), PINNED[1][0](),
                   random_connected_graph(random.Random(7), 10, 14)):
             seen.clear()
+            made.clear()
             got = all_invariants(g)
             v = {tag: r.value for tag, r in got.items()}
             by_order = dict(zip(invariants._ORDER, seen.values()))
@@ -386,10 +394,12 @@ class TestPipeline:
                     "mhs_strict": v["mhs_weak"]}
             for tag, (sets, lower, reduced) in by_order.items():
                 assert lower == want.get(tag, 0)
-                assert reduced == reduce_family(g.n, sets)
-        seen.clear()
+                assert reduced.__self__.sets is sets
+                assert reduced() == reduce(g.n, sets)
+            assert made == [g.n] * len(TAGS)
+        made.clear()
         all_invariants(cycle(9))
-        assert all(reduced is None for _, _, reduced in seen.values())
+        assert made == []
 
     def test_no_cyclic_garbage(self):
         # a call leaves nothing that only the cyclic collector can free

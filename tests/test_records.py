@@ -82,3 +82,12 @@ def test_set_family_value_semantics():
     assert hash(fam) == hash(SetFamily(3, (1, 6)))
     assert len({fam, SetFamily(3, (1, 6))}) == 1
     assert repr(fam) == "SetFamily(n=3, sets=(1, 6))"
+    # a composed family is its parts' sets, then its own: its parts
+    # enter neither equality, hash nor repr
+    composed = SetFamily(3, (4,), (fam, SetFamily(3, (2,))))
+    assert composed.sets == (1, 6, 2, 4)
+    assert composed.parts == (fam, SetFamily(3, (2,)))
+    assert composed == SetFamily(3, (1, 6, 2, 4))
+    assert hash(composed) == hash(SetFamily(3, (1, 6, 2, 4)))
+    assert repr(composed) == "SetFamily(n=3, sets=(1, 6, 2, 4))"
+    assert SetFamily(3, (1, 6)).parts == ()

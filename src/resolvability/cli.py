@@ -92,9 +92,9 @@ def _load_graph(args):
     given = [s for s in (args.gen, args.graph6, args.edges) if s is not None]
     if len(given) != 1:
         raise GraphError("exactly one of --gen, --graph6, --edges is required")
-    if args.gen:
+    if args.gen is not None:
         return gr.generate(args.gen)
-    if args.graph6:
+    if args.graph6 is not None:
         return parse_graph6(args.graph6)
     with open(args.edges, "r", encoding="utf-8") as fh:
         return gr.parse_edge_list_text(fh.read())

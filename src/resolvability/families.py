@@ -24,14 +24,16 @@ together. An edge uv has the row d(e, .) = min(d(u, .), d(v, .)).
   strict families, followed by the (n - 2)m cross sets of a vertex and
   an edge not containing it, the only sets ``compose_mixed_family``
   computes;
-- psi family: its hitting sets are the doubly resolving sets. It keeps
-  byte rows, one int holding d(u, w) in byte w: byte s of row_u +
-  64 ONES - row_v, ONES holding 1 in each byte, is d(u,s) - d(v,s) + 64
-  with no borrow, so the complement of each level set of (u, v) is one
-  byte translation of that row away. The complement of a pair's
-  level-0 set is the pair's vertex resolver set, so ``psi_family`` is
-  composed of the vertex family, followed by the complements of the
-  other level sets and the sets V - {s}.
+- psi family: its hitting sets are the doubly resolving sets, those
+  hitting the complement of each level set of s -> d(u,s) - d(v,s).
+  The complement of a pair's level-0 set is its vertex resolver set,
+  and those of an edge's other level sets are its weak sets, so
+  ``psi_family`` is composed of the vertex and weak families, followed
+  by the complements of the other level sets of the other pairs and
+  the sets V - {s}. It reads byte rows, one int holding d(u, w) in
+  byte w: byte s of row_u + 64 ONES - row_v, ONES holding 1 in each
+  byte, is d(u,s) - d(v,s) + 64 with no borrow, so each complement is
+  one byte translation of that row away.
 
 A family composed of others (its ``parts``) starts with their sets, in
 the order its builder takes them, so it contains each of them; that is
@@ -217,25 +219,9 @@ ONE_ZERO = b"1" * 255 + b"0" + b"1" * 255
 LEVEL = [ONE_ZERO[255 - k:511 - k] for k in range(128)]
 
 
-def _psi_level_sets(n, packed):
-    """V - C for each level set C of s -> d(u,s) - d(v,s) with at least
-    two vertices and a value other than 0, pair by pair, in order of its
-    least vertex, as a tuple. Byte s of x + 64 ONES - y, for the packed
-    rows x, y of u and v, is d(u,s) - d(v,s) + 64 with no borrow, and
-    its big-endian bytes put vertex n - 1 first, as base 2 reads it."""
-    shift = 64 * int.from_bytes(b"\x01" * n, "little")
-    sets = []
-    for x, y in combinations(packed, 2):
-        level = (x + shift - y).to_bytes(n, "big")
-        for k in dict.fromkeys(level[::-1]):  # in order of least vertex
-            if k != 64 and level.count(k) > 1:
-                sets.append(int(level.translate(LEVEL[k]), 2))
-    return tuple(sets)
-
-
-def psi_family(rows, vertex):
+def psi_family(rows, vertex, weak):
     """Family whose minimum hitting sets are the minimum doubly resolving
-    sets, composed of the graph's built vertex pair family.
+    sets, composed of the graph's built vertex pair and weak families.
 
     A pair (u, v) is doubly resolved by S iff s -> d(u,s) - d(v,s) is
     non-constant on S, i.e. S lies inside none of its level sets C, i.e.
@@ -243,15 +229,30 @@ def psi_family(rows, vertex):
     which the sets V - {s} rule out (a doubly resolving set has at least
     two vertices). The complement of the level-0 set of (u, v) is their
     vertex resolver set, which is V or contains some V - {s} when that
-    level set has fewer than two vertices. So the family is the vertex
-    family, then, for each pair u < v in turn, V - C for each level set
-    C of a non-zero value with |C| >= 2 in order of its least vertex,
-    then {V - {s} : s in V}.
+    level set has fewer than two vertices. On an edge uv the function
+    takes only the values -1, 0 and 1, and its level sets of -1 and 1
+    are W(u,v) and W(v,u), so their complements are the weak sets
+    Wbar(u,v) and Wbar(v,u); that of a level set of one vertex is a set
+    V - {s} anyway. So the family is the vertex family, then the weak
+    family, then, for each pair u < v that is not an edge, V - C for
+    each level set C of a non-zero value with |C| >= 2 in order of its
+    least vertex, then {V - {s} : s in V}. As it contains the weak
+    family, mhs_<=(G) <= psi(G). The big-endian bytes of each level row
+    put vertex n - 1 first, as base 2 reads them.
     """
-    n = rows.n
+    n, packed, adj = rows.n, rows.packed, rows.g.adj
     full = (1 << n) - 1
-    return SetFamily(n, _psi_level_sets(n, rows.packed)
-                     + tuple([full ^ 1 << s for s in range(n)]), (vertex,))
+    shift = 64 * int.from_bytes(b"\x01" * n, "little")
+    sets = []
+    for u, v in combinations(range(n), 2):
+        if adj[u] >> v & 1:
+            continue
+        level = (packed[u] + shift - packed[v]).to_bytes(n, "big")
+        for k in dict.fromkeys(level[::-1]):  # in order of least vertex
+            if k != 64 and level.count(k) > 1:
+                sets.append(int(level.translate(LEVEL[k]), 2))
+    sets += [full ^ 1 << s for s in range(n)]
+    return SetFamily(n, tuple(sets), (vertex, weak))
 
 
 def is_doubly_resolving(dist, members):

@@ -8,7 +8,11 @@ and allocation-free.
 
 from itertools import combinations
 
-from .hitting import MAX_UNIVERSE
+# the largest order of a graph this package builds, reads or solves:
+# that of the graph6 short form and of the hitting-set solver
+# (``hitting.MAX_UNIVERSE``); its distances fit the family builders'
+# byte rows
+MAX_ORDER = 62
 
 
 class GraphError(ValueError):
@@ -253,12 +257,11 @@ GENERATORS = {
 }
 
 
-def _check_order(n):
-    """Raise GraphError for an order above the invariants' cap, before
-    anything of that size is built."""
-    if n > MAX_UNIVERSE:
-        raise GraphError(
-            f"graph order {n} exceeds {MAX_UNIVERSE}, the largest supported")
+def check_order(n, error=GraphError):
+    """Raise ``error`` for an order above MAX_ORDER, before anything of
+    that size is built."""
+    if n > MAX_ORDER:
+        raise error(f"graph order {n} exceeds {MAX_ORDER}, the largest supported")
 
 
 def generate(spec):
@@ -278,7 +281,7 @@ def generate(spec):
         raise GraphError(f"non-integer parameter in family spec {spec!r}") from None
     if len(params) != arity:
         raise GraphError(f"family {name!r} takes {arity} parameter(s), got {params}")
-    _check_order(sum(params))  # each family's order: its parameters' sum
+    check_order(sum(params))  # each family's order: its parameters' sum
     return fn(*params)
 
 
@@ -295,7 +298,7 @@ def parse_edge_list_text(text):
         n, m = map(int, lines[0][1].split())
     except ValueError:
         raise GraphError(f"bad header line {lines[0][1]!r}, expected 'n m'") from None
-    _check_order(n)
+    check_order(n)
     if len(lines) - 1 != m:
         raise GraphError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []

@@ -11,9 +11,8 @@ packs the bits, and reverses them to and from ``canon``'s codec.
 """
 
 from .canon import adjacency, relabeled_mask
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, check_order
 
-MAX_N = 62
 _HEADER = ">>graph6<<"
 
 
@@ -56,8 +55,7 @@ def parse_graph6(text):
 def write_graph6(g):
     """Encode a Graph as a canonical short-form graph6 string."""
     n = g.n
-    if n > MAX_N:
-        raise Graph6Error(f"graph6 short form supports n <= {MAX_N}, got {n}")
+    check_order(n, Graph6Error)
     npairs = n * (n - 1) // 2
     nbytes = (npairs + 5) // 6
     bits = _reversed(relabeled_mask(n, g.adj, range(n)), npairs)

@@ -11,22 +11,22 @@ families, beta_M of the mixed family and psi (the doubly metric
 dimension) of the psi family, whose hitting sets are exactly the
 doubly resolving sets.
 
-``all_invariants(g, tags)`` builds each family it needs once, from one
-distance matrix and one ``Rows``, and solves the tags in ``_ORDER``,
-each after the tags in its ``_BELOW``, whose optima bound its own
-below, so its search starts there. The solver takes each family's
-``reduction`` and makes it only if it searches; a composed family's is
-made from those of its parts. Families are dropped after their last
-use. Every witness hits its whole family, and a psi witness is also
-re-checked by the two-witness definition (``is_doubly_resolving``),
-before it leaves this module.
+``all_invariants(g, tags)`` walks ``_PIPELINE`` once, from one distance
+matrix and one ``Rows``: it builds each family the tags need, solves the
+tags asked for, and drops each family after its last use. A composed
+family holds the sets of its parts, so their optima bound its own below,
+and each search starts at the largest of them found. The solver takes
+each family's ``reduction`` and makes it only if it searches; a composed
+family's is made from those of its parts. Every witness hits its whole
+family, and a psi witness is also re-checked by the two-witness
+definition (``is_doubly_resolving``), before it leaves this module.
 """
 
 from collections import namedtuple
 
 from . import families as fam
-from .graph import GraphError, all_pairs_distances, bits_list
-from .hitting import MAX_UNIVERSE, min_hitting_exact, verify_hitting
+from .graph import GraphError, all_pairs_distances, bits_list, check_order
+from .hitting import min_hitting_exact, verify_hitting
 
 TAGS = ("beta", "beta_E", "beta_M", "psi", "mhs_strict", "mhs_weak")
 
@@ -40,32 +40,19 @@ def check_tags(tags):
 
 # tag -> (name of its builder in ``families``, tags whose families it
 # takes after the rows, in the order its family holds their sets,
-# witness check on (distances, witness) or None). Builders are looked up
-# by name at call time, so a wrapper installed there (a counting one in
-# the tests) sees every build.
+# witness check on (distances, witness) or None), in solve order, each
+# tag after its parts. Builders are looked up by name at call time, so
+# a wrapper installed there (a counting one in the tests) sees every
+# build.
 _PIPELINE = {
     "beta": ("vertex_pair_family", (), None),
     "beta_E": ("edge_pair_family", (), None),
+    "mhs_weak": ("family_weak", (), None),
+    "mhs_strict": ("family_strict", (), None),
     "beta_M": ("compose_mixed_family", ("beta", "beta_E", "mhs_strict"),
                None),
-    "psi": ("psi_family", ("beta",), fam.is_doubly_resolving),
-    "mhs_strict": ("family_strict", (), None),
-    "mhs_weak": ("family_weak", (), None),
+    "psi": ("psi_family", ("beta", "mhs_weak"), fam.is_doubly_resolving),
 }
-
-# tag -> the tags whose optima are lower bounds of its own: each set of
-# their families contains a set of its family. beta_M's family holds the
-# three families, and psi's the beta family; a weak set Wbar(u,v) is
-# V - C for the level set C of the value -1 of (u, v), which holds u, so
-# it is a psi set; and Wbar(u,v) holds the strict set W(v,u).
-_BELOW = {
-    "beta_M": ("beta", "beta_E", "mhs_strict"),
-    "psi": ("beta", "mhs_weak"),
-    "mhs_strict": ("mhs_weak",),
-}
-
-# the order the tags are solved in: each after the tags in its _BELOW
-_ORDER = ("beta", "beta_E", "mhs_weak", "mhs_strict", "beta_M", "psi")
 
 
 class InvariantResult(namedtuple("InvariantResult", "tag value witness")):
@@ -92,43 +79,38 @@ def _solve(tag, family, dist, lower):
     return InvariantResult(tag, len(witness), witness)
 
 
-def _family(tag, rows, built):
-    """tag's family from ``built`` (tag -> family), built there first."""
-    if tag not in built:
-        name, parts, _ = _PIPELINE[tag]
-        built[tag] = getattr(fam, name)(
-            rows, *[_family(part, rows, built) for part in parts])
-    return built[tag]
-
-
 def all_invariants(g, tags=TAGS):
     """The invariants named by ``tags`` (default all six) with
     witnesses, as a dict tag -> InvariantResult in the order of
     ``tags``. Each witness is the lexicographically smallest optimum.
-    Only the families those tags need are built, each once, and the
-    tags are solved in ``_ORDER``, so each search starts at the largest
-    optimum already found among the tags that bound it below."""
+    Only the families those tags need are built, each once, and each
+    search starts at the largest optimum found among its tag's parts."""
     tags = tuple(dict.fromkeys(tags))  # each tag once, in order
     check_tags(tags)
     if g.n < 2:
         raise GraphError("invariants are defined for graphs with n >= 2")
     # checked before any family is built: the pair builders pack each
     # distance in a byte, which larger graphs can overflow
-    if g.n > MAX_UNIVERSE:
-        raise ValueError(f"universe size {g.n} exceeds {MAX_UNIVERSE}")
+    check_order(g.n)
+    needed = set(tags)
+    for tag in reversed(_PIPELINE):  # a tag's parts come before it
+        if tag in needed:
+            needed.update(_PIPELINE[tag][1])
+    plan = [tag for tag in _PIPELINE if tag in needed]
     dist = all_pairs_distances(g)
     rows = fam.Rows(g, dist)
-    order = sorted(tags, key=_ORDER.index)
-    built = {}  # tag -> family, kept while a tag still to solve needs it
+    built = {}  # tag -> family, kept while a later tag takes it
     results = {}
-    for i, tag in enumerate(order):
-        family = _family(tag, rows, built)
-        lower = max([results[t].value for t in _BELOW.get(tag, ())
-                     if t in results], default=0)
-        results[tag] = _solve(tag, family, dist, lower)
+    for i, tag in enumerate(plan):
+        name, parts, _ = _PIPELINE[tag]
+        built[tag] = getattr(fam, name)(rows, *[built[p] for p in parts])
+        if tag in tags:
+            lower = max([results[p].value for p in parts if p in results],
+                        default=0)
+            results[tag] = _solve(tag, built[tag], dist, lower)
         # families are the bulk of the memory, so each goes after its
         # last use
-        later = {t for u in order[i + 1:] for t in (u, *_PIPELINE[u][1])}
+        later = {p for t in plan[i + 1:] for p in _PIPELINE[t][1]}
         for done in built.keys() - later:
             del built[done]
     return {tag: results[tag] for tag in tags}

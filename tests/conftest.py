@@ -129,9 +129,9 @@ def mixed_pair_family(rows):
 
 def psi_pair_family(rows):
     """The psi family as the psi pipeline builds it from the graph's
-    ``Rows``: composed of the vertex pair family, then the complements of
-    the other level sets and V - {s}."""
-    return psi_family(rows, vertex_pair_family(rows))
+    ``Rows``: composed of the vertex pair and weak families, then the
+    complements of the other level sets and V - {s}."""
+    return psi_family(rows, vertex_pair_family(rows), family_weak(rows))
 
 
 def reference_cross(g, dist):
@@ -199,13 +199,17 @@ def reference_psi(g, dist):
     """The psi family in the layout its builder uses, by comparing
     distances vertex by vertex: for each pair u < v the vertex resolver
     set V - C_0, C_0 being the level set of the value 0; then, for each
-    pair u < v, V - C for each level set C of a non-zero value with
+    edge uv, V - C_-1 and V - C_1; then, for each pair u < v that is not
+    an edge, V - C for each level set C of a non-zero value with
     |C| >= 2, in order of its least vertex; then V - {s} for each s."""
     n = g.n
     full = (1 << n) - 1
     pairs = list(combinations(range(n), 2))
+    edges = g.edges()
     sets = [full & ~_level_sets(dist, u, v).get(0, 0) for u, v in pairs]
-    sets += [full & ~c for u, v in pairs
+    sets += [full & ~_level_sets(dist, u, v)[k] for u, v in edges
+             for k in (-1, 1)]
+    sets += [full & ~c for u, v in pairs if (u, v) not in edges
              for k, c in _level_sets(dist, u, v).items()
              if k and c.bit_count() >= 2]
     sets.extend(full & ~(1 << s) for s in range(n))

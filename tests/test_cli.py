@@ -124,6 +124,16 @@ class TestCompute:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("option, message", [
+        ("--gen", "unknown family ''"),
+        ("--graph6", "empty graph6 string"),
+    ])
+    def test_empty_source_is_parsed(self, capsys, option, message):
+        # an empty value is the one source given, so its parser rejects it
+        code, _, err = run(capsys, "compute", option, "")
+        assert code == 1
+        assert message in err
+
     def test_exactly_one_source(self, capsys):
         code, _, err = run(capsys, "compute", "--gen", "path:3",
                            "--graph6", "C~")

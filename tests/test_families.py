@@ -330,13 +330,14 @@ class TestPsiFamily:
         g = path(3)
         d = _dist(g)
         rows = Rows(g, d)
-        fam = psi_family(rows, vertex_pair_family(rows))
+        fam = psi_family(rows, vertex_pair_family(rows), family_weak(rows))
         # the vertex pair sets V - C(.;0) of (v1,v2), (v1,v3), (v2,v3);
-        # pair (v1,v3): levels -2, 0, 2 are singletons; pairs (v1,v2) and
-        # (v2,v3) each have one non-zero level set of size 2:
-        # V - C(v1,v2;1), V - C(v2,v3;-1), then V - {v1}, V - {v2}, V - {v3}
+        # the weak sets Wbar(v1,v2), Wbar(v2,v1), Wbar(v2,v3), Wbar(v3,v2)
+        # of the edges; pair (v1,v3), the only other one, has the
+        # singleton levels -2, 0, 2; then V - {v1}, V - {v2}, V - {v3}
         assert fam.sets == (0b111, 0b101, 0b111,
-                            0b001, 0b100, 0b110, 0b101, 0b011)
+                            0b110, 0b001, 0b100, 0b011,
+                            0b110, 0b101, 0b011)
 
 
 def _inclusions(g):
@@ -350,7 +351,7 @@ def _inclusions(g):
     vertex = vertex_pair_family(rows)
     edge = edge_pair_family(rows)
     strict = family_strict(rows)
-    weak = family_weak(rows).sets
+    weak = family_weak(rows)
     old_mixed = set(vertex.sets + edge.sets + reference_cross(g, d))
     # each vertex, edge and strict set is a set of the n m mixed family
     assert old_mixed.issuperset(strict.sets)
@@ -359,10 +360,11 @@ def _inclusions(g):
     assert set(mixed.sets) == old_mixed
     # each vertex and weak set is V or a set of the psi family
     levels = set(reference_psi_levels(g, d))
-    assert all(s == full or s in levels for s in vertex.sets + weak)
+    assert all(s == full or s in levels for s in vertex.sets + weak.sets)
     # ... which the composed psi family equals as a set of sets, up to V
-    psi = psi_family(rows, vertex)
+    psi = psi_family(rows, vertex, weak)
     assert set(psi.sets) | {full} == levels | {full}
+    assert psi.parts == (vertex, weak)
 
 
 class TestInclusions:
@@ -389,7 +391,8 @@ def test_reductions_of_panel_families():
         vertex = vertex_pair_family(rows)
         edge = edge_pair_family(rows)
         strict = family_strict(rows)
+        weak = family_weak(rows)
         for family in (compose_mixed_family(rows, vertex, edge, strict),
-                       psi_family(rows, vertex), vertex, edge, strict,
-                       family_weak(rows)):
+                       psi_family(rows, vertex, weak), vertex, edge, strict,
+                       weak):
             assert family.reduction() == reduce_family(g.n, family.sets)

@@ -237,12 +237,20 @@ def _classes_up_to_5():
 
 
 class TestPipeline:
-    @pytest.mark.parametrize("source", ["random", "classes"])
+    @pytest.mark.parametrize("source", ["random", "classes", "random_large"])
     def test_single_invariants_match_all(self, source):
+        # above n = 9 the solver searches with bounds and reductions, and a
+        # tag asked for alone builds its unsolved parts' families and
+        # searches from 0
         if source == "random":
             rng = random.Random(99)
             graphs = [random_connected_graph(rng, n_min=4, n_max=9)
                       for _ in range(60)]
+        elif source == "random_large":
+            rng = random.Random(100)
+            graphs = [random_connected_graph(rng, n_min=10, n_max=16)
+                      for _ in range(30)]
+            assert {g.n for g in graphs} >= {10, 16}
         else:
             graphs = list(_classes_up_to_5())
             assert len(graphs) == 1 + 2 + 6 + 21
@@ -267,7 +275,7 @@ class TestPipeline:
     @pytest.mark.parametrize("n", [63, 300])
     def test_universe_cap_before_any_build(self, n):
         # P_300 has distances above 255, which no packed row can hold
-        with pytest.raises(ValueError, match=f"universe size {n} exceeds 62"):
+        with pytest.raises(GraphError, match=f"graph order {n} exceeds 62"):
             all_invariants(path(n), ("beta", "beta_E"))
 
     @staticmethod
@@ -362,12 +370,13 @@ class TestPipeline:
                 assert counts["edges"] <= 1 and counts["rows"] <= 1
 
     def test_bounds_and_reductions_reach_the_solver(self, monkeypatch):
-        # above SMALL_UNIVERSE, beta_M's search starts at the largest of
-        # the beta, beta_E and mhs_strict optima, and psi's at the larger
-        # of the beta and mhs_weak optima; every solve gets its family's
-        # reduction, made once per family, with the hitting sets of the
-        # family. cycle(9)'s subset tables read each family whole, so no
-        # reduction is made
+        # above SMALL_UNIVERSE, each search starts at the largest optimum
+        # of its tag's parts: beta_M's at the largest of the beta, beta_E
+        # and mhs_strict optima, psi's at the larger of the beta and
+        # mhs_weak optima, every other at 0; every solve gets its
+        # family's reduction, made once per family, with the hitting sets
+        # of the family. cycle(9)'s subset tables read each family whole,
+        # so no reduction is made
         seen = {}
         made = []
         solver, reduce = invariants.min_hitting_exact, families.reduce_family
@@ -388,10 +397,9 @@ class TestPipeline:
             made.clear()
             got = all_invariants(g)
             v = {tag: r.value for tag, r in got.items()}
-            by_order = dict(zip(invariants._ORDER, seen.values()))
+            by_order = dict(zip(tuple(invariants._PIPELINE), seen.values()))
             want = {"beta_M": max(v["beta"], v["beta_E"], v["mhs_strict"]),
-                    "psi": max(v["beta"], v["mhs_weak"]),
-                    "mhs_strict": v["mhs_weak"]}
+                    "psi": max(v["beta"], v["mhs_weak"])}
             for tag, (sets, lower, reduced) in by_order.items():
                 assert lower == want.get(tag, 0)
                 assert reduced.__self__.sets is sets
@@ -434,11 +442,13 @@ class TestPipeline:
 
         monkeypatch.setattr(invariants, "min_hitting_exact", counted)
         all_invariants(cycle(6))
-        # solved in the order beta, beta_E, mhs_weak, mhs_strict, beta_M,
+        # built in the order beta, beta_E, mhs_weak, mhs_strict, beta_M,
         # psi: beta's family lives on for beta_M and psi, beta_E's and
-        # mhs_strict's for beta_M
-        assert alive == [1, 2, 3, 3, 4, 2]
-        for tags, expected in ((("beta_M", "psi", "beta"), [1, 4, 2]),
+        # mhs_strict's for beta_M, mhs_weak's for psi; beta_M's and psi's
+        # hold their parts' families. A tag asked for alone builds its
+        # parts' families unsolved
+        assert alive == [1, 2, 3, 4, 5, 3]
+        for tags, expected in ((("beta_M", "psi", "beta"), [1, 5, 3]),
                                (("mhs_strict",), [1])):
             refs.clear()
             alive.clear()

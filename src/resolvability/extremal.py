@@ -13,9 +13,11 @@ a sweep from a named graph6 stream (one graph per line; required above
 caller's claim, not ours.
 
 ``sweep`` is one loop over ``GraphSource.graphs()`` for either kind of
-source. All six invariants are functions of the unlabeled graph, so a
-difference's maximum over the labeled stream is its maximum over the
-classes, first reached at the first graph of some class. So the sweep
+source, over the difference pairs its caller names: ``verify`` sweeps
+``verify.THEOREM_PAIRS``, ``extremal_difference`` one pair. All six
+invariants are functions of the unlabeled graph, so a difference's
+maximum over the labeled stream is its maximum over the classes, first
+reached at the first graph of some class. So the sweep
 computes the invariants and checks the pointwise laws once per class,
 on that graph; it folds a graph6 stream, which yields every graph, by
 ``canon.canonical_form``.
@@ -39,18 +41,6 @@ from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .invariants import check_tags, invariant_values
 
 MAX_BUILTIN_N = 9
-
-# Difference pairs appearing in the verification suite.
-THEOREM_PAIRS = (
-    ("mhs_weak", "psi"),
-    ("psi", "mhs_weak"),
-    ("mhs_weak", "mhs_strict"),
-    ("mhs_strict", "mhs_weak"),
-    ("mhs_strict", "beta_M"),
-    ("beta_M", "mhs_strict"),
-    ("psi", "beta_E"),
-    ("beta_E", "psi"),
-)
 
 
 ExtremalReport = namedtuple(
@@ -290,10 +280,10 @@ class SweepResult(namedtuple("SweepResult",
         return super().__new__(cls, n, graphs_scanned, reports, failures)
 
 
-def sweep(source, pairs=THEOREM_PAIRS):
-    """One pass over a graph source, reducing the requested extremal
-    differences (first maximizer in stream order wins) and collecting
-    pointwise law failures, once per class.
+def sweep(source, pairs):
+    """One pass over a graph source, reducing the extremal differences
+    of the caller's ``pairs`` of tags (first maximizer in stream order
+    wins) and collecting pointwise law failures, once per class.
 
     The builtin enumeration yields one graph per isomorphism class, and
     the sweep takes each. A graph6 stream yields every graph, so the

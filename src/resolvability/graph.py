@@ -9,9 +9,9 @@ and allocation-free.
 from itertools import combinations
 
 # the largest order of a graph this package builds, reads or solves:
-# that of the graph6 short form and of the hitting-set solver
-# (``hitting.MAX_UNIVERSE``); its distances fit the family builders'
-# byte rows
+# that of the graph6 short form and the universe cap of the hitting-set
+# solver, which reads it from here; its distances fit the family
+# builders' byte rows
 MAX_ORDER = 62
 
 

@@ -37,7 +37,8 @@ from itertools import compress
 from operator import not_, or_
 from struct import pack
 
-MAX_UNIVERSE = 62
+from .graph import MAX_ORDER
+
 SMALL_UNIVERSE = 9
 
 
@@ -50,7 +51,7 @@ def verify_hitting(sets, mask):
     return all(mask & s for s in sets)
 
 
-def _check_instance(n, sets, cap=MAX_UNIVERSE):
+def _check_instance(n, sets, cap=MAX_ORDER):
     if n > cap:
         raise ValueError(f"universe size {n} exceeds {cap}")
     if 0 in sets:

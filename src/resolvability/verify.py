@@ -1,6 +1,13 @@
 """Theorem verification: extremal-difference identities, pointwise laws
 and closed-form family values, checked by exhaustive search.
 
+``CLOSED_FORMS`` is the one table of the families' closed forms, and
+``closed_form_values`` the one check of a family member against it,
+shared with the CLI's ``families``. There, ``bipartite N`` is K_{2,N};
+here the bipartite member of order n is K_{2,n-2}, and ``beta_M(K_n)``
+is left out. The pairs ``verify`` sweeps, ``THEOREM_PAIRS``, are those
+of ``_IDENTITIES`` and the two of the dedge bounds.
+
 Each check produces one CheckResult line. Failed checks are report
 entries, never exceptions; bad input (such as a stream of the wrong
 order) raises GraphError. ``extremal.sources`` picks each order's
@@ -12,11 +19,8 @@ the artifact cannot vouch that the stream is exhaustive.
 from collections import namedtuple
 
 from . import graph as gr
-from .extremal import THEOREM_PAIRS, sources, sweep
-from .families import Rows, edge_pair_family
-from .hitting import verify_hitting
+from .extremal import sources, sweep
 from .invariants import all_invariants
-from .graph import mask_of
 
 
 class CheckResult(namedtuple("CheckResult", "name n statement passed detail",
@@ -59,6 +63,30 @@ _IDENTITIES = (
     ("mdiml1(i)", ("mhs_strict", "beta_M"), lambda n: 0),
     ("mdiml1(ii)", ("beta_M", "mhs_strict"), lambda n: n - 3),
 )
+# the pairs of the identities, then those of the dedge checks
+THEOREM_PAIRS = tuple(pair for _, pair, _ in _IDENTITIES) + (
+    ("psi", "beta_E"), ("beta_E", "psi"))
+
+# family: (least order of its verify rows, spec of its member of order n,
+# that member's closed forms by tag), in the order of verify's rows
+CLOSED_FORMS = {
+    "path": (2, lambda n: f"path:{n}", lambda n: {
+        "beta": 1, "beta_E": 1, "beta_M": 2, "psi": 2,
+        "mhs_strict": 2, "mhs_weak": 2}),
+    "star": (3, lambda n: f"star:{n}", lambda n: {
+        "mhs_strict": n - 1, "mhs_weak": n - 1, "psi": n - 1}),
+    "complete": (3, lambda n: f"complete:{n}", lambda n: {
+        "mhs_strict": n, "mhs_weak": 2, "psi": max(2, n - 1),
+        "beta": n - 1, "beta_E": n - 1, "beta_M": n}),
+    "cycle": (3, lambda n: f"cycle:{n}", lambda n: {
+        "psi": 2 if n % 2 else 3, "beta": 2, "beta_E": 2}),
+    # K_{2,n-2}; K_{2,1} = P_3 (`families bipartite 1`) has no beta_M row
+    "bipartite": (4, lambda n: f"bipartite:2,{n - 2}", lambda n: {
+        "mhs_strict": 2, "mhs_weak": 2,
+        **({"beta_M": n - 1} if n > 3 else {})}),
+    "tprime": (4, lambda n: f"tprime:{n}", lambda n: {
+        "psi": n // 2 + 1, "beta_E": 2}),
+}
 
 
 def verify_order(source):
@@ -95,21 +123,18 @@ def verify_order(source):
     return checks
 
 
-def _family_expectations(n):
-    """(name, graph, expected values dict) triples for order n: the
-    ``family_formula`` values of each family from its least order on,
-    the bipartite one as K_{2,n-2}."""
-    out = []
-    for family, least in (("path", 2), ("star", 3), ("complete", 3),
-                          ("cycle", 3), ("bipartite", 4), ("tprime", 4)):
-        if n >= least:
-            params = (2, n - 2) if family == "bipartite" else (n,)
-            expected = family_formula(family, params)
-            if family == "complete":
-                del expected["beta_M"]  # not in perfbench/data/verify.json
-            name = "K_{2,%d}" % (n - 2) if family == "bipartite" else family
-            out.append((name, gr.GENERATORS[family][0](*params), expected))
-    return out
+def family_formula(family, n):
+    """The closed forms, by tag, of the member of order n of ``family``."""
+    return CLOSED_FORMS[family][2](n)
+
+
+def closed_form_values(family, n):
+    """{tag: (closed form, computed)} on the member of order n of
+    ``family``, built by ``graph.generate``; only those tags are solved."""
+    g = gr.generate(CLOSED_FORMS[family][1](n))
+    forms = family_formula(family, n)
+    results = all_invariants(g, tuple(forms))
+    return {tag: (want, results[tag].value) for tag, want in forms.items()}
 
 
 def verify_families(n_min, n_max):
@@ -117,80 +142,50 @@ def verify_families(n_min, n_max):
     [n_min, n_max]."""
     checks = []
     for n in range(n_min, n_max + 1):
-        for name, g, expected in _family_expectations(n):
-            results = all_invariants(g, tuple(expected))
-            for tag, want in sorted(expected.items()):
-                got = results[tag].value
-                checks.append(CheckResult(
-                    f"family-{name}", n, f"{tag}({name}, n={n}) = {want}",
-                    got == want, f"computed {got}",
-                ))
+        for family, (least, _, _) in CLOSED_FORMS.items():
+            if n < least:
+                continue
+            values = closed_form_values(family, n)
+            if family == "complete":
+                del values["beta_M"]  # not in perfbench/data/verify.json
+            name = "K_{2,%d}" % (n - 2) if family == "bipartite" else family
+            for tag, (want, got) in sorted(values.items()):
+                checks.append(_eq_check(
+                    f"family-{name}", n, f"{tag}({name}, n={n})", got, want,
+                    True))
     return checks
 
 
 def verify_tprime_construction(n):
-    """T'_n spot check: leaf count, psi, beta_E, and validity of the
-    edge resolving set {v_1, v_{n-m+1}}."""
+    """T'_n spot check: leaf count, psi, beta_E, and that {v_1,
+    v_{n-m+1}} is an edge resolving set: the edges' distances to it
+    differ."""
     g = gr.t_prime_tree(n)
-    m = n // 2
-    checks = []
-    leaves = gr.leaf_count(g)
-    checks.append(CheckResult(
-        "tprime-leaves", n, f"l(T'_{n}) = {m + 1}",
-        leaves == m + 1, f"computed {leaves}"))
-    results = all_invariants(g, ("psi", "beta_E"))
-    checks.append(CheckResult(
-        "tprime-psi", n, f"psi(T'_{n}) = {m + 1}",
-        results["psi"].value == m + 1, f"computed {results['psi'].value}"))
-    checks.append(CheckResult(
-        "tprime-betaE", n, f"beta_E(T'_{n}) = 2",
-        results["beta_E"].value == 2, f"computed {results['beta_E'].value}"))
-    base = mask_of((0, n - m))  # v_1 and v_{n-m+1}
-    family = edge_pair_family(Rows(g, gr.all_pairs_distances(g)))
+    values = closed_form_values("tprime", n)
+    leaves = values["psi"][0]  # the psi of a tree is its leaf count
+    checks = [_eq_check(
+        "tprime-leaves", n, f"l(T'_{n})", gr.leaf_count(g), leaves, True)]
+    for name, tag in (("tprime-psi", "psi"), ("tprime-betaE", "beta_E")):
+        want, got = values[tag]
+        checks.append(_eq_check(name, n, f"{tag}(T'_{n})", got, want, True))
+    base = (0, n - n // 2)  # v_1 and v_{n-m+1}, m = n // 2
+    dist = gr.all_pairs_distances(g)
+    edges = g.edges()
+    distances = {tuple(min(dist[u][s], dist[v][s]) for s in base)
+                 for u, v in edges}
     checks.append(CheckResult(
         "tprime-base", n,
-        f"{{v_1, v_{n - m + 1}}} is an edge resolving set of T'_{n}",
-        verify_hitting(family.sets, base)))
+        f"{{v_1, v_{base[1] + 1}}} is an edge resolving set of T'_{n}",
+        len(distances) == len(edges)))
     return checks
-
-
-def family_formula(name, params):
-    """Known closed-form invariant values for a named family, keyed by
-    invariant tag. Only values with a closed form are present."""
-    if name == "path":
-        (n,) = params
-        return {"beta": 1, "beta_E": 1, "beta_M": 2, "psi": 2,
-                "mhs_strict": 2, "mhs_weak": 2}
-    if name == "star":
-        (n,) = params
-        return {"mhs_strict": n - 1, "mhs_weak": n - 1, "psi": n - 1}
-    if name == "cycle":
-        (n,) = params
-        return {"psi": 2 if n % 2 else 3, "beta": 2, "beta_E": 2}
-    if name == "complete":
-        (n,) = params
-        return {"mhs_strict": n, "mhs_weak": 2, "psi": max(2, n - 1),
-                "beta": n - 1, "beta_E": n - 1, "beta_M": n}
-    if name == "bipartite":
-        r, t = params
-        out = {}
-        if min(r, t) >= 2:
-            out["beta_M"] = r + t - 1 if 2 in (r, t) else r + t - 2
-        if 2 in (r, t) and max(r, t) >= 2:
-            out["mhs_strict"] = 2
-            out["mhs_weak"] = 2
-        return out
-    if name == "tprime":
-        (n,) = params
-        return {"psi": n // 2 + 1, "beta_E": 2}
-    raise gr.GraphError(f"no closed forms known for family {name!r}")
 
 
 def verify_theorems(n_min, n_max, stream_paths=None):
     """Full verification report over orders n_min..n_max.
 
     ``stream_paths`` maps orders to graph6 stream files, as in
-    ``extremal.sources``. Returns a list of CheckResult.
+    ``extremal.sources``. The T'_8 and T'_9 checks run whatever the
+    range. Returns a list of CheckResult.
     """
     if not 2 <= n_min <= n_max:
         raise gr.GraphError(f"invalid order range {n_min}..{n_max}")

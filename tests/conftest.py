@@ -11,10 +11,11 @@ from resolvability import (
     edge_pair_family, family_strict, family_weak, from_edge_list,
     invariant_values, vertex_pair_family)
 from resolvability.canon import adjacency, canonical_form
-from resolvability.extremal import THEOREM_PAIRS, GraphSource, sweep
+from resolvability.extremal import GraphSource, sweep
 from resolvability.families import Rows, compose_mixed_family, psi_family
 from resolvability.graph6 import parse_graph6
 from resolvability.hitting import verify_hitting
+from resolvability.verify import THEOREM_PAIRS
 
 PANEL = (Path(__file__).resolve().parents[1]
          / "perfbench" / "data" / "panel.json")

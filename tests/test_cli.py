@@ -232,6 +232,21 @@ class TestFamilies:
         assert out == ""
         assert "empty range '6..4'" in err
 
+    def test_wrong_closed_form_exits_2(self, capsys, monkeypatch):
+        from resolvability import verify
+        least, spec, forms = verify.CLOSED_FORMS["cycle"]
+        monkeypatch.setitem(verify.CLOSED_FORMS, "cycle", (
+            least, spec, lambda n: dict(forms(n), beta=3)))
+        code, out, _ = run(capsys, "families", "cycle", "5..6",
+                           "--format", "csv")
+        assert code == 2
+        rows = list(csv.DictReader(io.StringIO(out)))
+        wrong = [r for r in rows if r["status"] == "MISMATCH"]
+        assert [(r["param"], r["invariant"], r["formula"], r["computed"])
+                for r in wrong] == [("5", "beta", "3", "2"),
+                                    ("6", "beta", "3", "2")]
+        assert all(r["status"] == "ok" for r in rows if r not in wrong)
+
 
 class TestExtremal:
     def test_psi_weak_sweep(self, capsys):
@@ -399,6 +414,22 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "10..10")
         assert code == 1
         assert "stream" in err
+
+    def test_wrong_identity_exits_2(self, capsys, monkeypatch):
+        from resolvability import verify
+        name, pair, _ = verify._IDENTITIES[0]
+        monkeypatch.setattr(verify, "_IDENTITIES", (
+            (name, pair, lambda n: 1),) + verify._IDENTITIES[1:])
+        code, out, err = run(capsys, "verify", "3..4")
+        assert code == 2
+        failed = [line for line in out.splitlines()
+                  if line.startswith("[FAIL]")]
+        assert failed == [
+            f"[FAIL] n={n} {name}: (mhs_weak - psi)(n) = 1 (computed 0)"
+            for n in (3, 4)]
+        passed, total = map(int, err.split()[0].split("/"))
+        assert err == f"{passed}/{total} checks passed\n"
+        assert passed == total - 2
 
     def test_order_2_stream_named(self, capsys):
         # order 2 lies in the typed range but has no sweep to read it

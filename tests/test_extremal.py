@@ -17,7 +17,6 @@ from resolvability import (
 from resolvability import extremal
 from resolvability.canon import canonical_form, relabeled_mask
 from resolvability.extremal import (
-    THEOREM_PAIRS,
     ExtremalReport,
     GraphSource,
     SweepResult,
@@ -30,6 +29,7 @@ from resolvability.graph import (
     is_maximal_neighbour_graph,
     max_degree,
 )
+from resolvability.verify import THEOREM_PAIRS
 
 from conftest import (
     _connected_by_dfs,
@@ -232,7 +232,7 @@ class TestExtremalDifference:
     def test_witness_is_first_maximizer(self, n):
         graphs = slot_unpack_enumeration(n)
         values = [invariant_values(g) for g in graphs]
-        result = sweep(GraphSource.enumeration(n))
+        result = sweep(GraphSource.enumeration(n), THEOREM_PAIRS)
         for (xi1, xi2), report in result.reports.items():
             diffs = [v[xi1] - v[xi2] for v in values]
             first = graphs[diffs.index(max(diffs))]

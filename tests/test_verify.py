@@ -40,14 +40,18 @@ def test_family_checks_pass():
 
 
 def test_family_rows_match_reference():
-    # the closed forms come from family_formula, less beta_M(K_n); the
-    # rows of verify 3..7 are pinned by the benchmark's reference
+    # the closed forms come from CLOSED_FORMS, less beta_M(K_n); the rows
+    # of verify 3..7, with the T'_8 and T'_9 rows, are pinned by the
+    # benchmark's reference
     reference = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "verify.json"
     rows = json.loads(reference.read_text())["full"]["rows"]
-    want = [r for r in rows if r["check"].startswith("family-")]
+    want = [r for r in rows if r["check"].startswith(("family-", "tprime-"))]
+    assert {r["n"] for r in want if r["check"].startswith("tprime-")} == {8, 9}
+    checks = (verify_families(3, 7) + verify_tprime_construction(8)
+              + verify_tprime_construction(9))
     got = [{"check": c.name, "n": c.n, "statement": c.statement,
             "status": "PASS" if c.passed else "FAIL", "detail": c.detail}
-           for c in verify_families(3, 7)]
+           for c in checks]
     assert got == want
 
 
@@ -57,14 +61,14 @@ def test_tprime_construction():
 
 
 def test_family_formula_values():
-    assert family_formula("path", (9,))["mhs_strict"] == 2
-    assert family_formula("complete", (6,)) == {
+    assert family_formula("path", 9)["mhs_strict"] == 2
+    assert family_formula("complete", 6) == {
         "mhs_strict": 6, "mhs_weak": 2, "psi": 5,
         "beta": 5, "beta_E": 5, "beta_M": 6,
     }
-    assert family_formula("bipartite", (2, 4))["beta_M"] == 5
-    assert family_formula("bipartite", (3, 3))["beta_M"] == 4
-    assert family_formula("tprime", (9,)) == {"psi": 5, "beta_E": 2}
+    assert family_formula("bipartite", 6)["beta_M"] == 5  # K_{2,4}
+    assert "beta_M" not in family_formula("bipartite", 3)  # K_{2,1}
+    assert family_formula("tprime", 9) == {"psi": 5, "beta_E": 2}
 
 
 def test_stream_backed_order(tmp_path):

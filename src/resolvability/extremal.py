@@ -13,14 +13,15 @@ a sweep from a named graph6 stream (one graph per line; required above
 caller's claim, not ours.
 
 ``sweep`` is one loop over ``GraphSource.graphs()`` for either kind of
-source, over the difference pairs its caller names: ``verify`` sweeps
-``verify.THEOREM_PAIRS``, ``extremal_difference`` one pair. All six
-invariants are functions of the unlabeled graph, so a difference's
-maximum over the labeled stream is its maximum over the classes, first
-reached at the first graph of some class. So the sweep
-computes the invariants and checks the pointwise laws once per class,
-on that graph; it folds a graph6 stream, which yields every graph, by
-``canon.canonical_form``.
+source, over the difference pairs and pointwise laws its caller names:
+``verify`` sweeps ``verify.THEOREM_PAIRS`` with ``verify.LAWS``,
+``extremal_difference`` one pair and no law. This module states no
+claim of its own. All six invariants are functions of the unlabeled
+graph, so a difference's maximum over the labeled stream is its maximum
+over the classes, first reached at the first graph of some class. So
+the sweep computes the invariants and checks the caller's laws once per
+class, on that graph; it folds a graph6 stream, which yields every
+graph, by ``canon.canonical_form``.
 """
 
 from collections import namedtuple
@@ -33,9 +34,7 @@ from .graph import (
     GraphError,
     _reachable,
     is_connected,
-    is_maximal_neighbour_graph,
     iter_bits,
-    max_degree,
 )
 from .graph6 import Graph6Error, parse_graph6, write_graph6
 from .invariants import check_tags, invariant_values
@@ -234,40 +233,11 @@ def _labeled_connected(n):
     return c[n]
 
 
-def _law_violations(n, values, maximal_neighbour, delta, is_path):
-    """Pointwise statements that must hold on every connected graph:
-    the mhs chain, the maximal-neighbour biconditionals, the log bound
-    on beta_E and the path characterizations."""
-    v = values
-    out = []
-    if not 2 <= v["mhs_weak"] <= v["mhs_strict"] <= n:
-        out.append("mhs chain 2 <= mhs_weak <= mhs_strict <= n violated")
-    if n >= 3 and v["mhs_weak"] > n - 1:
-        out.append("mhs_weak <= n-1 violated")
-    if v["mhs_weak"] > v["psi"]:
-        out.append("psi >= mhs_weak violated")
-    if v["mhs_strict"] > v["beta_M"]:
-        out.append("beta_M >= mhs_strict violated")
-    if not ((v["mhs_strict"] == n) == maximal_neighbour == (v["beta_M"] == n)):
-        out.append("maximal-neighbour biconditional violated")
-    if v["beta_E"] < (delta - 1).bit_length():
-        out.append("beta_E >= ceil(log2 max_degree) violated")
-    if (v["beta_E"] == 1) != is_path:
-        out.append("beta_E = 1 iff path violated")
-    if (v["beta_M"] == 2) != is_path:
-        out.append("beta_M = 2 iff path violated")
-    return tuple(out)
-
-
-def _class_stats(g):
-    """``(values, law violations)`` of g, which stand for every graph of
-    its class."""
-    n = g.n
+def _class_stats(g, laws):
+    """``(values, messages of the laws it breaks)`` of g, which stand for
+    every graph of its class."""
     values = invariant_values(g)
-    delta = max_degree(g)
-    is_path = delta <= 2 and g.num_edges() == n - 1
-    return values, _law_violations(
-        n, values, is_maximal_neighbour_graph(g), delta, is_path)
+    return values, [msg for msg, holds in laws if not holds(g, values)]
 
 
 class SweepResult(namedtuple("SweepResult",
@@ -280,10 +250,12 @@ class SweepResult(namedtuple("SweepResult",
         return super().__new__(cls, n, graphs_scanned, reports, failures)
 
 
-def sweep(source, pairs):
+def sweep(source, pairs, laws=()):
     """One pass over a graph source, reducing the extremal differences
     of the caller's ``pairs`` of tags (first maximizer in stream order
-    wins) and collecting pointwise law failures, once per class.
+    wins) and collecting the failures of the caller's pointwise
+    ``laws``, ``(message, holds(g, values))`` pairs such as
+    ``verify.LAWS``, once per class. With no laws, none is evaluated.
 
     The builtin enumeration yields one graph per isomorphism class, and
     the sweep takes each. A graph6 stream yields every graph, so the
@@ -310,7 +282,7 @@ def sweep(source, pairs):
             if form in classes:
                 continue
             classes.add(form)
-        values, violations = _class_stats(g)
+        values, violations = _class_stats(g, laws)
         for p in pairs:
             diff = values[p[0]] - values[p[1]]
             cur = best[p]

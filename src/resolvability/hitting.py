@@ -186,16 +186,6 @@ def small_min_hitting(n, sets):
     raise AssertionError("the universe hits every set")  # pragma: no cover
 
 
-def _branch_and_bound(n, sets, use_reductions=True):
-    """``min_hitting_exact`` by ``_search`` for any n <= 62, on the
-    reduced family, or with ``use_reductions=False`` on the unreduced
-    one."""
-    _check_instance(n, sets)
-    if use_reductions:
-        return _search(n, *reduce_family(n, sets))
-    return _search(n, 0, _by_size(sets))
-
-
 def _search(n, forced, work, lower=0):
     """``forced`` with the lexicographically smallest minimum hitting set
     of the sets ``work``, none of which holds a forced vertex, found by

@@ -1,12 +1,15 @@
 """Theorem verification: extremal-difference identities, pointwise laws
 and closed-form family values, checked by exhaustive search.
 
-``CLOSED_FORMS`` is the one table of the families' closed forms, and
-``closed_form_values`` the one check of a family member against it,
-shared with the CLI's ``families``. There, ``bipartite N`` is K_{2,N};
-here the bipartite member of order n is K_{2,n-2}, and ``beta_M(K_n)``
-is left out. The pairs ``verify`` sweeps, ``THEOREM_PAIRS``, are those
-of ``_IDENTITIES`` and the two of the dedge bounds.
+The paper's claims are data in three tables, and each kind has one
+check. ``DIFFERENCES`` holds the extremal differences, each an exact
+value or a range, with the orders it covers; ``verify_order`` sweeps
+their pairs, ``THEOREM_PAIRS``, with the pointwise ``LAWS``, which
+``extremal.sweep`` evaluates once per class. ``CLOSED_FORMS`` holds the
+families' closed forms, and ``closed_form_values`` the one check of a
+family member against it, shared with the CLI's ``families``. There,
+``bipartite N`` is K_{2,N}; here the bipartite member of order n is
+K_{2,n-2}, and ``beta_M(K_n)`` is left out.
 
 Each check produces one CheckResult line. Failed checks are report
 entries, never exceptions; bad input (such as a stream of the wrong
@@ -33,39 +36,66 @@ class CheckResult(namedtuple("CheckResult", "name n statement passed detail",
         return f"[{status}] n={self.n} {self.name}: {self.statement}{extra}"
 
 
-def _range_check(name, n, label, actual, lo, hi, exhaustive):
-    if exhaustive:
-        statement, passed = f"{lo} <= {label} <= {hi}", lo <= actual <= hi
-    else:
+def _check(name, n, label, actual, want, exhaustive=True):
+    """``actual`` equals ``want``, or lies in it if it is a (lo, hi)
+    range."""
+    lo, hi = want if isinstance(want, tuple) else (want, want)
+    if not exhaustive:
         # stream source: the stream may lack the extremal graphs, so only
         # the upper bound is certain
         statement = f"{label} <= {hi} (stream, not provably exhaustive)"
         passed = actual <= hi
+    elif isinstance(want, tuple):
+        statement, passed = f"{lo} <= {label} <= {hi}", lo <= actual <= hi
+    else:
+        statement, passed = f"{label} = {want}", actual == want
     return CheckResult(name, n, statement, passed, f"computed {actual}")
 
 
-def _eq_check(name, n, label, actual, expected, exhaustive):
-    if not exhaustive:
-        return _range_check(name, n, label, actual, expected, expected, False)
-    return CheckResult(
-        name, n, f"{label} = {expected}", actual == expected,
-        f"computed {actual}",
-    )
-
-
-# (name, (a, b), n -> exact maximum of a - b over connected graphs of
-# order n >= 3)
-_IDENTITIES = (
-    ("psimhs1(i)", ("mhs_weak", "psi"), lambda n: 0),
-    ("psimhs1(ii)", ("psi", "mhs_weak"), lambda n: n - 3),
-    ("hslel1(i)", ("mhs_weak", "mhs_strict"), lambda n: 0),
-    ("hslel1(ii)", ("mhs_strict", "mhs_weak"), lambda n: n - 2),
-    ("mdiml1(i)", ("mhs_strict", "beta_M"), lambda n: 0),
-    ("mdiml1(ii)", ("beta_M", "mhs_strict"), lambda n: n - 3),
+# (name, (a, b), (least, greatest or None) order it covers, n -> the
+# maximum of a - b over the connected graphs of order n: exact, or a
+# (lo, hi) range), in the order of verify's rows
+DIFFERENCES = (
+    ("psimhs1(i)", ("mhs_weak", "psi"), (3, None), lambda n: 0),
+    ("psimhs1(ii)", ("psi", "mhs_weak"), (3, None), lambda n: n - 3),
+    ("hslel1(i)", ("mhs_weak", "mhs_strict"), (3, None), lambda n: 0),
+    ("hslel1(ii)", ("mhs_strict", "mhs_weak"), (3, None), lambda n: n - 2),
+    ("mdiml1(i)", ("mhs_strict", "beta_M"), (3, None), lambda n: 0),
+    ("mdiml1(ii)", ("beta_M", "mhs_strict"), (3, None), lambda n: n - 3),
+    ("dedge3", ("psi", "beta_E"), (3, 3), lambda n: 1),
+    ("dedge3'", ("beta_E", "psi"), (3, 3), lambda n: 0),
+    ("dedge", ("psi", "beta_E"), (4, None), lambda n: (n // 2 - 1, n - 3)),
 )
-# the pairs of the identities, then those of the dedge checks
-THEOREM_PAIRS = tuple(pair for _, pair, _ in _IDENTITIES) + (
-    ("psi", "beta_E"), ("beta_E", "psi"))
+# the pairs verify sweeps, in the order they first appear above
+THEOREM_PAIRS = tuple(dict.fromkeys(pair for _, pair, _, _ in DIFFERENCES))
+
+
+def _is_path(g):
+    """A connected graph is a path iff it is a tree of maximum degree
+    at most 2."""
+    return gr.max_degree(g) <= 2 and g.num_edges() == g.n - 1
+
+
+# (message, holds(g, values)): the pointwise laws, which hold on every
+# connected graph g with invariant values ``values``
+LAWS = (
+    ("mhs chain 2 <= mhs_weak <= mhs_strict <= n violated",
+     lambda g, v: 2 <= v["mhs_weak"] <= v["mhs_strict"] <= g.n),
+    ("mhs_weak <= n-1 violated",
+     lambda g, v: g.n < 3 or v["mhs_weak"] <= g.n - 1),
+    ("psi >= mhs_weak violated", lambda g, v: v["mhs_weak"] <= v["psi"]),
+    ("beta_M >= mhs_strict violated",
+     lambda g, v: v["mhs_strict"] <= v["beta_M"]),
+    ("maximal-neighbour biconditional violated",
+     lambda g, v: (v["mhs_strict"] == g.n) == gr.is_maximal_neighbour_graph(g)
+     == (v["beta_M"] == g.n)),
+    ("beta_E >= ceil(log2 max_degree) violated",
+     lambda g, v: v["beta_E"] >= (gr.max_degree(g) - 1).bit_length()),
+    ("beta_E = 1 iff path violated",
+     lambda g, v: (v["beta_E"] == 1) == _is_path(g)),
+    ("beta_M = 2 iff path violated",
+     lambda g, v: (v["beta_M"] == 2) == _is_path(g)),
+)
 
 # family: (least order of its verify rows, spec of its member of order n,
 # that member's closed forms by tag), in the order of verify's rows
@@ -92,25 +122,16 @@ CLOSED_FORMS = {
 def verify_order(source):
     """All sweep-based checks for one source (exhaustive if builtin)."""
     exhaustive = source.kind == "enumeration"
-    result = sweep(source, THEOREM_PAIRS)
+    result = sweep(source, THEOREM_PAIRS, LAWS)
     n = result.n  # a stream source need not name its order
-    d = {p: result.reports[p].max_diff for p in THEOREM_PAIRS}
     checks = []
-    if n >= 3:
-        for name, (a, b), value in _IDENTITIES:
-            checks.append(_eq_check(
-                name, n, f"({a} - {b})(n)", d[(a, b)], value(n), exhaustive))
-    if n == 3:
-        checks.append(_eq_check(
-            "dedge3", 3, "(psi - beta_E)(3)",
-            d[("psi", "beta_E")], 1, exhaustive))
-        checks.append(_eq_check(
-            "dedge3'", 3, "(beta_E - psi)(3)",
-            d[("beta_E", "psi")], 0, exhaustive))
-    elif n >= 4:
-        checks.append(_range_check(
-            "dedge", n, "(psi - beta_E)(n)",
-            d[("psi", "beta_E")], n // 2 - 1, n - 3, exhaustive))
+    for name, (a, b), (least, greatest), value in DIFFERENCES:
+        if least <= n <= (greatest or n):
+            # a row for one order names it; others name the variable n
+            label = f"({a} - {b})({n if least == greatest else 'n'})"
+            checks.append(_check(
+                name, n, label, result.reports[(a, b)].max_diff, value(n),
+                exhaustive))
     checks.append(CheckResult(
         "pointwise-laws", n,
         "mhs chain, maximal-neighbour biconditionals, log bound, "
@@ -150,9 +171,8 @@ def verify_families(n_min, n_max):
                 del values["beta_M"]  # not in perfbench/data/verify.json
             name = "K_{2,%d}" % (n - 2) if family == "bipartite" else family
             for tag, (want, got) in sorted(values.items()):
-                checks.append(_eq_check(
-                    f"family-{name}", n, f"{tag}({name}, n={n})", got, want,
-                    True))
+                checks.append(_check(
+                    f"family-{name}", n, f"{tag}({name}, n={n})", got, want))
     return checks
 
 
@@ -163,11 +183,11 @@ def verify_tprime_construction(n):
     g = gr.t_prime_tree(n)
     values = closed_form_values("tprime", n)
     leaves = values["psi"][0]  # the psi of a tree is its leaf count
-    checks = [_eq_check(
-        "tprime-leaves", n, f"l(T'_{n})", gr.leaf_count(g), leaves, True)]
+    checks = [_check(
+        "tprime-leaves", n, f"l(T'_{n})", gr.leaf_count(g), leaves)]
     for name, tag in (("tprime-psi", "psi"), ("tprime-betaE", "beta_E")):
         want, got = values[tag]
-        checks.append(_eq_check(name, n, f"{tag}(T'_{n})", got, want, True))
+        checks.append(_check(name, n, f"{tag}(T'_{n})", got, want))
     base = (0, n - n // 2)  # v_1 and v_{n-m+1}, m = n // 2
     dist = gr.all_pairs_distances(g)
     edges = g.edges()

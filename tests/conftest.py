@@ -14,8 +14,9 @@ from resolvability.canon import adjacency, canonical_form
 from resolvability.extremal import GraphSource, sweep
 from resolvability.families import Rows, compose_mixed_family, psi_family
 from resolvability.graph6 import parse_graph6
-from resolvability.hitting import verify_hitting
-from resolvability.verify import THEOREM_PAIRS
+from resolvability.hitting import (
+    _by_size, _check_instance, _search, reduce_family, verify_hitting)
+from resolvability.verify import LAWS, THEOREM_PAIRS
 
 PANEL = (Path(__file__).resolve().parents[1]
          / "perfbench" / "data" / "panel.json")
@@ -236,6 +237,16 @@ def brute_force_min_hitting(n, sets):
     raise AssertionError("full universe must hit every non-empty set")
 
 
+def _branch_and_bound(n, sets, use_reductions=True):
+    """``min_hitting_exact`` by the solver's branch and bound
+    (``hitting._search``) for any n <= 62, on the reduced family, or
+    with ``use_reductions=False`` on the unreduced one."""
+    _check_instance(n, sets)
+    if use_reductions:
+        return _search(n, *reduce_family(n, sets))
+    return _search(n, 0, _by_size(sets))
+
+
 def random_hitting_instance(rng, max_universe=16, max_sets=24):
     """Random instance with no empty sets."""
     n = rng.randint(2, max_universe)
@@ -254,7 +265,7 @@ def theorem_sweeps():
 
     def get(n):
         if n not in cache:
-            cache[n] = sweep(GraphSource.enumeration(n), THEOREM_PAIRS)
+            cache[n] = sweep(GraphSource.enumeration(n), THEOREM_PAIRS, LAWS)
         return cache[n]
 
     return get

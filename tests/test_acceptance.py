@@ -30,9 +30,9 @@ from resolvability import (
 )
 from resolvability.graph import mask_of
 from resolvability.families import edge_pair_family
-from resolvability.hitting import _branch_and_bound
 
 from conftest import (
+    _branch_and_bound,
     brute_force_min_hitting,
     random_connected_graph,
     random_hitting_instance,

@@ -417,9 +417,9 @@ class TestVerify:
 
     def test_wrong_identity_exits_2(self, capsys, monkeypatch):
         from resolvability import verify
-        name, pair, _ = verify._IDENTITIES[0]
-        monkeypatch.setattr(verify, "_IDENTITIES", (
-            (name, pair, lambda n: 1),) + verify._IDENTITIES[1:])
+        name, pair, orders, _ = verify.DIFFERENCES[0]
+        monkeypatch.setattr(verify, "DIFFERENCES", (
+            (name, pair, orders, lambda n: 1),) + verify.DIFFERENCES[1:])
         code, out, err = run(capsys, "verify", "3..4")
         assert code == 2
         failed = [line for line in out.splitlines()
@@ -430,6 +430,21 @@ class TestVerify:
         passed, total = map(int, err.split()[0].split("/"))
         assert err == f"{passed}/{total} checks passed\n"
         assert passed == total - 2
+
+    def test_impossible_range_exits_2(self, capsys, monkeypatch):
+        from resolvability import verify
+        *rows, (name, pair, orders, _) = verify.DIFFERENCES
+        assert name == "dedge"
+        monkeypatch.setattr(verify, "DIFFERENCES", (
+            *rows, (name, pair, orders, lambda n: (n + 1, n))))
+        code, out, err = run(capsys, "verify", "4..4")
+        assert code == 2
+        failed = [line for line in out.splitlines()
+                  if line.startswith("[FAIL]")]
+        assert failed == [
+            "[FAIL] n=4 dedge: 5 <= (psi - beta_E)(n) <= 4 (computed 1)"]
+        passed, total = map(int, err.split()[0].split("/"))
+        assert passed == total - 1
 
     def test_order_2_stream_named(self, capsys):
         # order 2 lies in the typed range but has no sweep to read it

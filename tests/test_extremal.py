@@ -23,13 +23,8 @@ from resolvability.extremal import (
     sources,
     sweep,
 )
-from resolvability.graph import (
-    Graph,
-    from_edge_list,
-    is_maximal_neighbour_graph,
-    max_degree,
-)
-from resolvability.verify import THEOREM_PAIRS
+from resolvability.graph import Graph, from_edge_list, max_degree
+from resolvability.verify import LAWS, THEOREM_PAIRS
 
 from conftest import (
     _connected_by_dfs,
@@ -68,7 +63,7 @@ def _class_firsts_naive(n):
     return tuple(out)
 
 
-def _naive_sweep(n, pairs):
+def _naive_sweep(n, pairs, laws):
     """The sweep's result from every labeled graph: the first maximizer
     of each pair and the law failures of each class's first graph."""
     best = {}
@@ -78,23 +73,20 @@ def _naive_sweep(n, pairs):
             diff = values[p[0]] - values[p[1]]
             if p not in best or diff > best[p][0]:
                 best[p] = (diff, g)
-        delta = max_degree(g)
-        is_path = g.num_edges() == n - 1 and delta <= 2
-        for msg in extremal._law_violations(
-                n, values, is_maximal_neighbour_graph(g), delta, is_path):
-            failures.append((write_graph6(g), msg))
+        for msg, holds in laws:
+            if not holds(g, values):
+                failures.append((write_graph6(g), msg))
     scanned = A001187[n]
     reports = {p: ExtremalReport(p[0], p[1], n, d, write_graph6(w), scanned)
                for p, (d, w) in best.items()}
     return SweepResult(n, scanned, reports, failures)
 
 
-def _flag_paths(n, values, maximal_neighbour, delta, is_path):
-    return ("flagged path",) if is_path else ()
-
-
-def _flag_all(n, values, maximal_neighbour, delta, is_path):
-    return ("flagged", f"flagged {n}")
+# fake laws, in the shape of verify.LAWS: (message, holds(g, values))
+FLAG_PATHS = (("flagged path", lambda g, v: not (
+    g.num_edges() == g.n - 1 and max_degree(g) <= 2)),)
+FLAG_ALL = (("flagged", lambda g, v: False),
+            ("flagged again", lambda g, v: False))
 
 
 def _group_order(n, gens):
@@ -254,8 +246,9 @@ class TestStreamSource:
         for n in (5, 6):
             p = tmp_path / f"n{n}.g6"
             _write_stream(p, slot_unpack_enumeration(n))
-            builtin = sweep(GraphSource.enumeration(n), THEOREM_PAIRS)
-            stream = sweep(GraphSource.graph6_file(str(p)), THEOREM_PAIRS)
+            builtin = sweep(GraphSource.enumeration(n), THEOREM_PAIRS, LAWS)
+            stream = sweep(GraphSource.graph6_file(str(p)), THEOREM_PAIRS,
+                           LAWS)
             assert stream == builtin
 
     def test_empty_stream(self, tmp_path):
@@ -320,39 +313,45 @@ class TestSources:
 class TestSweepLaws:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_no_law_failures(self, n):
-        result = sweep(GraphSource.enumeration(n), pairs=())
+        result = sweep(GraphSource.enumeration(n), pairs=(), laws=LAWS)
         assert result.law_failures == []
         assert result.graphs_scanned == len(slot_unpack_enumeration(n))
 
-    def test_law_failures_reported_once_per_class(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(extremal, "_law_violations", _flag_paths)
+    def test_law_failures_reported_once_per_class(self, tmp_path):
         graphs = slot_unpack_enumeration(4)
         paths = [g for g in graphs
                  if g.num_edges() == 3 and max_degree(g) == 2]
-        result = sweep(GraphSource.enumeration(4), pairs=())
+        result = sweep(GraphSource.enumeration(4), (), FLAG_PATHS)
         # P_4 is one class: one failure, at its first labeled graph
         assert result.law_failures == [
             (write_graph6(paths[0]), "flagged path")]
         p = tmp_path / "n4.g6"
         _write_stream(p, graphs)
-        stream = sweep(GraphSource.graph6_file(str(p)), pairs=())
+        stream = sweep(GraphSource.graph6_file(str(p)), (), FLAG_PATHS)
         assert stream.law_failures == result.law_failures
 
     @pytest.mark.parametrize("n", (5, 6))
-    def test_law_failures_match_naive_scan(self, monkeypatch, tmp_path, n):
-        monkeypatch.setattr(extremal, "_law_violations", _flag_paths)
+    def test_law_failures_match_naive_scan(self, tmp_path, n):
         # naive: the first graph of each isomorphism class that is a path
         expected = []
         for g, _ in _class_firsts_naive(n):
             if g.num_edges() == n - 1 and max_degree(g) == 2:
                 expected.append((write_graph6(g), "flagged path"))
         assert len(expected) == 1  # P_n is one class
-        result = sweep(GraphSource.enumeration(n), pairs=())
+        result = sweep(GraphSource.enumeration(n), (), FLAG_PATHS)
         assert result.law_failures == expected
         p = tmp_path / f"n{n}.g6"
         _write_stream(p, slot_unpack_enumeration(n))
-        stream = sweep(GraphSource.graph6_file(str(p)), pairs=())
+        stream = sweep(GraphSource.graph6_file(str(p)), (), FLAG_PATHS)
         assert stream.law_failures == expected
+
+
+    @pytest.mark.parametrize("n", (4, 6))
+    def test_no_laws_same_reports(self, n):
+        source = GraphSource.enumeration(n)
+        bare = sweep(source, THEOREM_PAIRS)
+        assert bare.law_failures == []
+        assert bare.reports == sweep(source, THEOREM_PAIRS, LAWS).reports
 
 
 class TestEnumerationSource:
@@ -360,13 +359,11 @@ class TestEnumerationSource:
     the sweep must not see the difference."""
 
     @pytest.mark.parametrize("n", range(2, 7))
-    @pytest.mark.parametrize("laws", ["real", "paths", "all"])
-    def test_sweep_equals_naive_scan(self, monkeypatch, n, laws):
-        if laws != "real":
-            monkeypatch.setattr(extremal, "_law_violations",
-                                _flag_paths if laws == "paths" else _flag_all)
-        result = sweep(GraphSource.enumeration(n), THEOREM_PAIRS)
-        assert result == _naive_sweep(n, THEOREM_PAIRS)
+    @pytest.mark.parametrize("laws", [LAWS, FLAG_PATHS, FLAG_ALL],
+                             ids=["real", "paths", "all"])
+    def test_sweep_equals_naive_scan(self, n, laws):
+        result = sweep(GraphSource.enumeration(n), THEOREM_PAIRS, laws)
+        assert result == _naive_sweep(n, THEOREM_PAIRS, laws)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_yields_first_graph_of_each_class(self, n):
@@ -385,15 +382,14 @@ class TestEnumerationSource:
             raise AssertionError("builtin source folded")
 
         monkeypatch.setattr(extremal, "canonical_form", no_fold)
-        result = sweep(GraphSource.enumeration(n), THEOREM_PAIRS)
-        assert result == _naive_sweep(n, THEOREM_PAIRS)
+        result = sweep(GraphSource.enumeration(n), THEOREM_PAIRS, LAWS)
+        assert result == _naive_sweep(n, THEOREM_PAIRS, LAWS)
 
     def test_stream_is_folded(self, monkeypatch, tmp_path):
         # every labeled graph of order 5: one solve and, with paths
         # flagged, one law failure per class, as from the builtin source
         p = tmp_path / "n5.g6"
         _write_stream(p, slot_unpack_enumeration(5))
-        monkeypatch.setattr(extremal, "_law_violations", _flag_paths)
         calls = []
 
         def counted(g):
@@ -401,9 +397,11 @@ class TestEnumerationSource:
             return invariant_values(g)
 
         monkeypatch.setattr(extremal, "invariant_values", counted)
-        stream = sweep(GraphSource.graph6_file(str(p)), THEOREM_PAIRS)
+        stream = sweep(GraphSource.graph6_file(str(p)), THEOREM_PAIRS,
+                       FLAG_PATHS)
         assert len(calls) == A001349[5]
-        assert stream == sweep(GraphSource.enumeration(5), THEOREM_PAIRS)
+        assert stream == sweep(GraphSource.enumeration(5), THEOREM_PAIRS,
+                               FLAG_PATHS)
 
     def test_stream_above_7_is_folded_by_class(self, monkeypatch, tmp_path):
         # two labelings of P_8 whose degree-sorted relabelings differ,
@@ -419,7 +417,6 @@ class TestEnumerationSource:
                 != relabeled_mask(8, other.adj, by_degree[1]))
         p = tmp_path / "n8.g6"
         _write_stream(p, [p8, star, other])
-        monkeypatch.setattr(extremal, "_law_violations", _flag_paths)
         calls = []
 
         def counted(g):
@@ -427,7 +424,8 @@ class TestEnumerationSource:
             return invariant_values(g)
 
         monkeypatch.setattr(extremal, "invariant_values", counted)
-        result = sweep(GraphSource.graph6_file(str(p)), THEOREM_PAIRS)
+        result = sweep(GraphSource.graph6_file(str(p)), THEOREM_PAIRS,
+                       FLAG_PATHS)
         assert calls == [p8, star]
         assert result.law_failures == [(write_graph6(p8), "flagged path")]
         assert result.graphs_scanned == 3
@@ -453,7 +451,7 @@ class TestEnumerationSource:
 
         monkeypatch.setattr(GraphSource, "graphs", recorded)
         monkeypatch.setattr(extremal, "invariant_values", counted)
-        result = sweep(GraphSource.enumeration(7), THEOREM_PAIRS)
+        result = sweep(GraphSource.enumeration(7), THEOREM_PAIRS, LAWS)
         assert len(yielded) == A001349[7]
         assert len({canonical_form(7, g.adj) for g in yielded}) == A001349[7]
         assert calls == yielded

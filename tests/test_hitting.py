@@ -22,9 +22,10 @@ from resolvability.extremal import GraphSource
 from resolvability.families import SetFamily
 from resolvability.graph import bits_list, mask_of
 from resolvability.hitting import (
-    SMALL_UNIVERSE, _branch_and_bound, reduce_family, small_min_hitting)
+    SMALL_UNIVERSE, reduce_family, small_min_hitting)
 
 from conftest import (
+    _branch_and_bound,
     brute_force_min_hitting,
     mixed_pair_family,
     psi_pair_family,

@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from resolvability import GraphSource, verify_theorems
+from resolvability import GraphSource, invariant_values, verify_theorems
+from resolvability.graph import generate
 from resolvability.verify import (
+    LAWS,
     family_formula,
     verify_families,
     verify_order,
@@ -33,6 +35,32 @@ def test_verify_order_4_dedge_bounds():
     checks = {c.name: c for c in verify_order(GraphSource.enumeration(4))}
     assert checks["dedge"].passed
     assert checks["dedge"].statement == "1 <= (psi - beta_E)(n) <= 1"
+
+
+# per LAWS row: a graph, and changes to its values that break that law
+# and no other
+LAW_BREAKS = (
+    ("path:4", {"mhs_strict": 1}),
+    ("complete:4", {"mhs_weak": 4, "psi": 4}),
+    ("path:4", {"psi": 1}),
+    ("path:4", {"mhs_strict": 3}),
+    ("cycle:5", {"beta_M": 5}),
+    ("star:6", {"beta_E": 2}),
+    ("path:4", {"beta_E": 2}),
+    ("path:4", {"beta_M": 3}),
+)
+
+
+@pytest.mark.parametrize("row", range(len(LAWS)))
+def test_each_law_fires_alone(row):
+    assert len(LAW_BREAKS) == len(LAWS)
+    spec, changes = LAW_BREAKS[row]
+    g = generate(spec)
+    values = invariant_values(g)
+    assert all(holds(g, values) for _, holds in LAWS)
+    values.update(changes)
+    assert [msg for msg, holds in LAWS if not holds(g, values)] == [
+        LAWS[row][0]]
 
 
 def test_family_checks_pass():

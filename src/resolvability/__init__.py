@@ -34,6 +34,7 @@ from .families import (
     family_strict,
     family_weak,
     is_doubly_resolving,
+    is_mixed_resolving,
     vertex_pair_family,
 )
 from .hitting import (

@@ -5,7 +5,7 @@ Subcommands: ``compute`` (invariants of one graph), ``families``
 and ``verify`` (theorem verification); the two sweeps share the
 repeatable ``--stream N:PATH`` (see ``extremal.sources``). All vertex
 labels in input and output are 1-based. Exit codes: 0 success / all
-checks pass, 1 input error, 2 verification failure.
+checks pass, 1 input or usage error, 2 verification failure.
 """
 
 import argparse
@@ -175,8 +175,18 @@ def cmd_verify(args):
     return 0 if failed == 0 else 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 1, an input error, not argparse's
+    2, which this CLI keeps for a failed check. Subparsers take its
+    class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="resolvability",
         description="Exact graph resolvability invariants "
                     "(beta, beta_E, beta_M, psi, mhs_strict, mhs_weak).",

@@ -278,3 +278,20 @@ def is_doubly_resolving(dist, members):
             return False
         seen.add(key)
     return True
+
+
+def is_mixed_resolving(dist, edges, members):
+    """True iff the vertex set resolves every pair of distinct items:
+    the vertices and the edges uv in ``edges`` have pairwise distinct
+    distance vectors to ``members``, with d(uv, s) = min(d(u,s), d(v,s)).
+
+    A vector is a distance row packed one byte per vertex, with the
+    bytes of the other vertices cleared. The rows x, y of an edge's ends
+    differ by at most 1 in each byte, so each byte of x + ONES - y is 0,
+    1 or 2, and min(x, y) is x less its bit 1, set where x > y."""
+    mask = sum([255 << 8 * t for t in set(members)])
+    ones = int.from_bytes(b"\x01" * len(dist), "little")
+    keys = [int.from_bytes(bytes(row), "little") & mask for row in dist]
+    keys += [x - (x + ones - y >> 1 & ones)
+             for x, y in [(keys[u], keys[v]) for u, v in edges]]
+    return len(set(keys)) == len(keys)

@@ -4,10 +4,10 @@ Every invariant is one pipeline: distance rows, then a set family, then
 the exact hitting-set solver, then a witness check. ``_PIPELINE`` maps
 each tag to the name of the builder in ``families`` that makes its
 family from the graph's ``Rows``, the tags whose families it is
-composed of, and any check beyond hitting the family. beta and beta_E
-are minimum hitting sets of the vertex and edge pair resolver
-families, mhs_strict and mhs_weak of the strict and weak W-set
-families, beta_M of the mixed family and psi (the doubly metric
+composed of, and, for a composed tag, its definitional predicate. beta
+and beta_E are minimum hitting sets of the vertex and edge pair
+resolver families, mhs_strict and mhs_weak of the strict and weak
+W-set families, beta_M of the mixed family and psi (the doubly metric
 dimension) of the psi family, whose hitting sets are exactly the
 doubly resolving sets.
 
@@ -17,9 +17,20 @@ tags asked for, and drops each family after its last use. A composed
 family holds the sets of its parts, so their optima bound its own below,
 and each search starts at the largest of them found. The solver takes
 each family's ``reduction`` and makes it only if it searches; a composed
-family's is made from those of its parts. Every witness hits its whole
-family, and a psi witness is also re-checked by the two-witness
-definition (``is_doubly_resolving``), before it leaves this module.
+family's is made from those of its parts.
+
+A composed tag (beta_M, psi) is first offered the witnesses of its
+solved parts whose value is that lower bound lo. The first that passes
+the tag's definitional predicate (``is_mixed_resolving``,
+``is_doubly_resolving``) is its answer, and its family is never built.
+That answer is exact and lexicographically smallest: the witness w of
+such a part P is P's lexicographically smallest optimum; any optimum T
+of the composed family has size lo and hits P's family, so it is an
+optimum of P and w <= T; and w, passing the predicate, hits the composed
+family. Otherwise the family is built and searched from lo. So every
+witness of a simple tag hits its family, and every composed witness
+passes its predicate, a check that does not read the family, and a
+searched one hits its family too, before it leaves this module.
 """
 
 from collections import namedtuple
@@ -39,19 +50,22 @@ def check_tags(tags):
 
 
 # tag -> (name of its builder in ``families``, tags whose families it
-# takes after the rows, in the order its family holds their sets,
-# witness check on (distances, witness) or None), in solve order, each
-# tag after its parts. Builders are looked up by name at call time, so
-# a wrapper installed there (a counting one in the tests) sees every
-# build.
+# takes after the rows, in the order its family holds their sets, the
+# definitional predicate of a composed tag's witnesses on (distances,
+# rows, witness), or None), in solve order, each tag after its parts.
+# Builders and predicates are looked up in ``families`` at call time,
+# so a wrapper installed there (a counting one in the tests) sees every
+# call.
 _PIPELINE = {
     "beta": ("vertex_pair_family", (), None),
     "beta_E": ("edge_pair_family", (), None),
     "mhs_weak": ("family_weak", (), None),
     "mhs_strict": ("family_strict", (), None),
     "beta_M": ("compose_mixed_family", ("beta", "beta_E", "mhs_strict"),
-               None),
-    "psi": ("psi_family", ("beta", "mhs_weak"), fam.is_doubly_resolving),
+               lambda dist, rows, s: fam.is_mixed_resolving(
+                   dist, rows.edges, s)),
+    "psi": ("psi_family", ("beta", "mhs_weak"),
+            lambda dist, rows, s: fam.is_doubly_resolving(dist, s)),
 }
 
 
@@ -65,7 +79,7 @@ class InvariantResult(namedtuple("InvariantResult", "tag value witness")):
         return [v + 1 for v in self.witness]
 
 
-def _solve(tag, family, dist, lower):
+def _solve(tag, family, dist, rows, lower):
     sets = family.sets
     # only P_2's edge-pair family is empty (one edge, no pair to resolve);
     # the closed form beta_E(P_n) = 1 covers n = 2, with witness {v_1}
@@ -73,7 +87,8 @@ def _solve(tag, family, dist, lower):
             if sets else 1)
     witness = bits_list(mask)
     check = _PIPELINE[tag][2]
-    valid = verify_hitting(sets, mask) and (not check or check(dist, witness))
+    valid = verify_hitting(sets, mask) and (
+        not check or check(dist, rows, witness))
     if not valid:  # pragma: no cover
         raise RuntimeError(f"{tag}: solver returned an invalid witness")
     return InvariantResult(tag, len(witness), witness)
@@ -84,7 +99,8 @@ def all_invariants(g, tags=TAGS):
     witnesses, as a dict tag -> InvariantResult in the order of
     ``tags``. Each witness is the lexicographically smallest optimum.
     Only the families those tags need are built, each once, and each
-    search starts at the largest optimum found among its tag's parts."""
+    search starts at the largest optimum found among its tag's parts;
+    beta_M and psi build none when a part's witness answers them."""
     tags = tuple(dict.fromkeys(tags))  # each tag once, in order
     check_tags(tags)
     if g.n < 2:
@@ -102,12 +118,19 @@ def all_invariants(g, tags=TAGS):
     built = {}  # tag -> family, kept while a later tag takes it
     results = {}
     for i, tag in enumerate(plan):
-        name, parts, _ = _PIPELINE[tag]
-        built[tag] = getattr(fam, name)(rows, *[built[p] for p in parts])
-        if tag in tags:
-            lower = max([results[p].value for p in parts if p in results],
-                        default=0)
-            results[tag] = _solve(tag, built[tag], dist, lower)
+        name, parts, check = _PIPELINE[tag]
+        solved = [results[p] for p in parts if p in results]
+        lower = max([r.value for r in solved], default=0)
+        # a part's witness of the lower bound that passes the predicate
+        # is the family's lexicographically smallest optimum (see above)
+        for r in solved:
+            if r.value == lower and check(dist, rows, r.witness):
+                results[tag] = InvariantResult(tag, lower, r.witness)
+                break
+        else:
+            built[tag] = getattr(fam, name)(rows, *[built[p] for p in parts])
+            if tag in tags:
+                results[tag] = _solve(tag, built[tag], dist, rows, lower)
         # families are the bulk of the memory, so each goes after its
         # last use
         later = {p for t in plan[i + 1:] for p in _PIPELINE[t][1]}

@@ -32,6 +32,15 @@ def random_connected_graph(rng, n_min=2, n_max=12):
     return from_edge_list(n, edges)
 
 
+def dense_graph(seed, n):
+    """A random spanning tree plus each other pair with probability 1/2."""
+    rng = random.Random(seed)
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    edges += [(u, v) for u, v in combinations(range(n), 2)
+              if rng.random() < 0.5]
+    return from_edge_list(n, edges)
+
+
 @lru_cache(maxsize=None)
 def panel_members():
     """The benchmark panel's recorded members, read only: a tuple of

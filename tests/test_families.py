@@ -12,8 +12,8 @@ from resolvability import (
     edge_pair_family,
     family_strict,
     family_weak,
-    from_edge_list,
     is_doubly_resolving,
+    is_mixed_resolving,
     path,
     star,
     vertex_pair_family,
@@ -24,6 +24,7 @@ from resolvability.graph import bits_list, mask_of
 from resolvability.hitting import reduce_family
 
 from conftest import (
+    dense_graph,
     doubly_resolves,
     mixed_pair_family,
     panel_members,
@@ -225,6 +226,18 @@ class TestPairFamilies:
                     + edge_pair_family(built).sets + family_strict(built).sets)
             assert fam.sets[:len(head)] == head
 
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_hitting_sets_are_mixed_resolving_sets(self, n):
+        # the beta_M predicate holds exactly on the hitting sets of the
+        # mixed family, P_2 (n = 2) included
+        for g in slot_unpack_enumeration(n):
+            d = _dist(g)
+            sets = mixed_pair_family(Rows(g, d)).sets
+            edges = g.edges()
+            for mask in range(1 << n):
+                hits = all(mask & s for s in sets)
+                assert hits == is_mixed_resolving(d, edges, bits_list(mask))
+
 
 def _compared_per_vertex(n, pairs):
     """Resolver sets of row pairs, comparing the rows vertex by vertex:
@@ -233,22 +246,13 @@ def _compared_per_vertex(n, pairs):
                  for x, y in pairs)
 
 
-def _dense(seed, n):
-    """A random spanning tree plus each other pair with probability 1/2."""
-    rng = random.Random(seed)
-    edges = [(v, rng.randrange(v)) for v in range(1, n)]
-    edges += [(u, v) for u, v in combinations(range(n), 2)
-              if rng.random() < 0.5]
-    return from_edge_list(n, edges)
-
-
 class TestPackedRows:
     @pytest.mark.parametrize("make", [
         lambda: path(62),  # distances up to 61, 8-byte rows
         lambda: complete(12),
-        lambda: _dense(1, 17),
-        lambda: _dense(2, 24),
-        lambda: _dense(3, 40),
+        lambda: dense_graph(1, 17),
+        lambda: dense_graph(2, 24),
+        lambda: dense_graph(3, 40),
     ], ids=["path62", "complete12", "dense17", "dense24", "dense40"])
     def test_pair_builders_match_per_vertex(self, make):
         g = make()

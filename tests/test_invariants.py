@@ -20,6 +20,7 @@ from resolvability import (
     invariant_values,
     is_doubly_resolving,
     is_maximal_neighbour_graph,
+    is_mixed_resolving,
     leaf_count,
     max_degree,
     path,
@@ -29,12 +30,14 @@ from resolvability import (
 )
 from resolvability import families, invariants
 from resolvability.canon import canonical_form
+from resolvability.extremal import GraphSource
 from resolvability.graph import mask_of
 from resolvability.invariants import TAGS, result_record
 from resolvability.graph6 import write_graph6
 
 from conftest import (
-    panel_members, random_connected_graph, slot_unpack_enumeration)
+    dense_graph, panel_members, random_connected_graph,
+    slot_unpack_enumeration)
 
 
 def brute_force_psi(dist):
@@ -310,23 +313,29 @@ class TestPipeline:
 
     def test_pair_sets_built_once(self, monkeypatch):
         # all six invariants build the vertex and edge pair families once;
-        # beta_M's family reuses them and the strict family and computes
-        # only the cross sets of a vertex and an edge not containing it,
-        # so every pair resolver set is computed exactly once. The W-set
-        # builders share the kernel, so only its calls from the three
-        # pair builders are counted
+        # where no part's witness answers beta_M, its family reuses them
+        # and the strict family and computes only the cross sets of a
+        # vertex and an edge not containing it, so every pair resolver
+        # set is computed exactly once. The W-set builders share the
+        # kernel, so only its calls from the three pair builders are
+        # counted. On T'_12 a part's witness answers beta_M, so no cross
+        # set is computed
         calls, built = self._count_kernel_sets(monkeypatch, (
             "vertex_pair_family", "edge_pair_family", "compose_mixed_family"))
-        for g in (t_prime_tree(9), complete_bipartite(3, 4),
-                  random_connected_graph(random.Random(5), 6, 9),
-                  t_prime_tree(12)):
+        for g, mixed in ((cycle(8), True),
+                         (random_connected_graph(random.Random(0), 6, 9), True),
+                         (random_connected_graph(random.Random(3), 6, 9), True),
+                         (cycle(12), True),
+                         (t_prime_tree(12), False)):
             calls.clear()
             built.clear()
             all_invariants(g)
             n, m = g.n, g.num_edges()
-            assert sorted(calls) == ["compose_mixed_family",
-                                     "edge_pair_family", "vertex_pair_family"]
-            assert sum(built) == comb(n, 2) + comb(m, 2) + (n - 2) * m
+            assert sorted(calls) == (["compose_mixed_family"] * mixed
+                                     + ["edge_pair_family",
+                                        "vertex_pair_family"])
+            assert sum(built) == (comb(n, 2) + comb(m, 2)
+                                  + (n - 2) * m * mixed)
 
     @pytest.mark.parametrize("tags, builders", [
         (TAGS, ["family_strict", "family_weak"]),
@@ -375,8 +384,10 @@ class TestPipeline:
         # and mhs_strict optima, psi's at the larger of the beta and
         # mhs_weak optima, every other at 0; every solve gets its
         # family's reduction, made once per family, with the hitting sets
-        # of the family. cycle(9)'s subset tables read each family whole,
-        # so no reduction is made
+        # of the family. On these graphs no part's witness answers
+        # beta_M or psi, so all six tags search; on T'_12 both are
+        # answered so, and only the four others search. cycle(9)'s
+        # subset tables read each family whole, so no reduction is made
         seen = {}
         made = []
         solver, reduce = invariants.min_hitting_exact, families.reduce_family
@@ -391,20 +402,25 @@ class TestPipeline:
 
         monkeypatch.setattr(invariants, "min_hitting_exact", recorded)
         monkeypatch.setattr(families, "reduce_family", counted)
-        for g in (t_prime_tree(12), PINNED[1][0](),
-                  random_connected_graph(random.Random(7), 10, 14)):
+        for g, searched in ((cycle(12), TAGS), (PINNED[1][0](), TAGS),
+                            (random_connected_graph(random.Random(5), 10, 14),
+                             TAGS),
+                            (t_prime_tree(12), ("beta", "beta_E", "mhs_strict",
+                                                "mhs_weak"))):
             seen.clear()
             made.clear()
             got = all_invariants(g)
             v = {tag: r.value for tag, r in got.items()}
-            by_order = dict(zip(tuple(invariants._PIPELINE), seen.values()))
+            order = [tag for tag in invariants._PIPELINE if tag in searched]
+            assert len(seen) == len(searched)
+            by_order = dict(zip(order, seen.values()))
             want = {"beta_M": max(v["beta"], v["beta_E"], v["mhs_strict"]),
                     "psi": max(v["beta"], v["mhs_weak"])}
             for tag, (sets, lower, reduced) in by_order.items():
                 assert lower == want.get(tag, 0)
                 assert reduced.__self__.sets is sets
                 assert reduced() == reduce(g.n, sets)
-            assert made == [g.n] * len(TAGS)
+            assert made == [g.n] * len(searched)
         made.clear()
         all_invariants(cycle(9))
         assert made == []
@@ -454,6 +470,68 @@ class TestPipeline:
             alive.clear()
             all_invariants(cycle(6), tags)
             assert alive == expected
+
+
+def _near_tree(rng, n):
+    """A random tree on n vertices plus three more edges."""
+    edges = [(v, rng.randrange(v)) for v in range(1, n)]
+    tree = {(u, v) for v, u in edges}
+    others = [e for e in combinations(range(n), 2) if e not in tree]
+    return from_edge_list(n, edges + rng.sample(others, 3))
+
+
+class TestFastPath:
+    """beta_M and psi are answered by a solved part's witness of their
+    lower bound when it passes the tag's definitional predicate, and by a
+    search of their family otherwise."""
+
+    @staticmethod
+    def _count_builds(monkeypatch):
+        calls = []
+        for name in ("compose_mixed_family", "psi_family"):
+            def counted(*args, _name=name, _f=getattr(families, name)):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(families, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("g, builders", [
+        (t_prime_tree(12), []),
+        (cycle(21), []),
+        (cycle(20), ["compose_mixed_family", "psi_family"]),
+    ], ids=["tprime12", "cycle21", "cycle20"])
+    def test_composed_builds(self, monkeypatch, g, builders):
+        calls = self._count_builds(monkeypatch)
+        all_invariants(g)
+        assert calls == builders
+
+    def test_same_as_searching_every_family(self, monkeypatch):
+        # the values and witnesses of every class with n <= 7 and of
+        # random near-trees and dense graphs with n = 10..16; each
+        # beta_M and psi witness passes its predicate
+        rng = random.Random(42)
+        graphs = [g for n in range(2, 8)
+                  for g in GraphSource.enumeration(n).graphs()]
+        graphs += [_near_tree(rng, n) for n in range(10, 17)]
+        graphs += [dense_graph(n, n) for n in range(10, 17)]
+        fast = [all_invariants(g) for g in graphs]
+        for g, got in zip(graphs, fast):
+            dist = all_pairs_distances(g)
+            assert is_mixed_resolving(dist, g.edges(), got["beta_M"].witness)
+            assert is_doubly_resolving(dist, got["psi"].witness)
+        # each predicate fails until its tag's family is built in the
+        # same call, so every composed tag searches its family and
+        # re-checks the witness it finds
+        calls = self._count_builds(monkeypatch)
+        for name, predicate in (("compose_mixed_family", "is_mixed_resolving"),
+                                ("psi_family", "is_doubly_resolving")):
+            def failing(*args, _name=name, _f=getattr(families, predicate)):
+                return _name in calls and _f(*args)
+            monkeypatch.setattr(families, predicate, failing)
+        for g, want in zip(graphs, fast):
+            calls.clear()
+            assert all_invariants(g) == want
+            assert calls == ["compose_mixed_family", "psi_family"]
 
 
 # Values and lexicographically smallest witnesses on graphs too large for

@@ -2,10 +2,11 @@
 
 Subcommands: ``compute`` (invariants of one graph), ``families``
 (computed-vs-formula tables), ``extremal`` (extremal-difference sweeps)
-and ``verify`` (theorem verification); the two sweeps share the
-repeatable ``--stream N:PATH`` (see ``extremal.sources``). All vertex
-labels in input and output are 1-based. Exit codes: 0 success / all
-checks pass, 1 input or usage error, 2 verification failure.
+and ``verify`` (theorem verification, over the builtin enumeration
+only); ``extremal`` alone takes the repeatable ``--stream N:PATH`` (see
+``extremal.sources``). All vertex labels in input and output are
+1-based. Exit codes: 0 success / all checks pass, 1 input or usage
+error, 2 verification failure.
 """
 
 import argparse
@@ -156,7 +157,7 @@ def cmd_extremal(args):
 
 def cmd_verify(args):
     lo, hi = _parse_range(args.range)
-    checks = verify_theorems(lo, hi, _parse_streams(args.stream))
+    checks = verify_theorems(lo, hi)
     if args.format == "table":
         _write("".join(c.line() + "\n" for c in checks), args.out)
     else:
@@ -215,16 +216,14 @@ def build_parser():
     p.add_argument("xi1", choices=TAGS)
     p.add_argument("xi2", choices=TAGS)
     p.add_argument("range", help="order range, e.g. 4..7")
+    p.add_argument("--stream", action="append", metavar="N:PATH",
+                   help="graph6 stream for order N (repeatable)")
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("verify", help="run the theorem verification suite")
-    p.add_argument("range", help="order range, e.g. 3..6")
+    p.add_argument("range", help="order range within 2..9, e.g. 3..6")
     p.set_defaults(func=cmd_verify)
 
-    for name in ("extremal", "verify"):
-        sub.choices[name].add_argument(
-            "--stream", action="append", metavar="N:PATH",
-            help="graph6 stream for order N (repeatable)")
     for sp in sub.choices.values():
         sp.add_argument("--format", choices=("table", "json", "csv"),
                         default="table")

@@ -12,17 +12,14 @@ family member against it, shared with the CLI's ``families``. There,
 K_{2,n-2}, and ``beta_M(K_n)`` is left out.
 
 Each check produces one CheckResult line. Failed checks are report
-entries, never exceptions; bad input (such as a stream of the wrong
-order) raises GraphError. ``extremal.sources`` picks each order's
-source. For an order backed by a user-supplied graph6 stream the
-exact-equality and range claims degrade to their upper bounds, since
-the artifact cannot vouch that the stream is exhaustive.
+entries, never exceptions; bad input (such as an order past the builtin
+enumeration) raises GraphError.
 """
 
 from collections import namedtuple
 
 from . import graph as gr
-from .extremal import sources, sweep
+from .extremal import MAX_BUILTIN_N, GraphSource, sweep
 from .invariants import all_invariants
 
 
@@ -36,16 +33,11 @@ class CheckResult(namedtuple("CheckResult", "name n statement passed detail",
         return f"[{status}] n={self.n} {self.name}: {self.statement}{extra}"
 
 
-def _check(name, n, label, actual, want, exhaustive=True):
+def _check(name, n, label, actual, want):
     """``actual`` equals ``want``, or lies in it if it is a (lo, hi)
     range."""
-    lo, hi = want if isinstance(want, tuple) else (want, want)
-    if not exhaustive:
-        # stream source: the stream may lack the extremal graphs, so only
-        # the upper bound is certain
-        statement = f"{label} <= {hi} (stream, not provably exhaustive)"
-        passed = actual <= hi
-    elif isinstance(want, tuple):
+    if isinstance(want, tuple):
+        lo, hi = want
         statement, passed = f"{lo} <= {label} <= {hi}", lo <= actual <= hi
     else:
         statement, passed = f"{label} = {want}", actual == want
@@ -119,19 +111,17 @@ CLOSED_FORMS = {
 }
 
 
-def verify_order(source):
-    """All sweep-based checks for one source (exhaustive if builtin)."""
-    exhaustive = source.kind == "enumeration"
-    result = sweep(source, THEOREM_PAIRS, LAWS)
-    n = result.n  # a stream source need not name its order
+def verify_order(n):
+    """All sweep-based checks of order n, over the builtin enumeration
+    of its classes."""
+    result = sweep(GraphSource.enumeration(n), THEOREM_PAIRS, LAWS)
     checks = []
     for name, (a, b), (least, greatest), value in DIFFERENCES:
         if least <= n <= (greatest or n):
             # a row for one order names it; others name the variable n
             label = f"({a} - {b})({n if least == greatest else 'n'})"
             checks.append(_check(
-                name, n, label, result.reports[(a, b)].max_diff, value(n),
-                exhaustive))
+                name, n, label, result.reports[(a, b)].max_diff, value(n)))
     checks.append(CheckResult(
         "pointwise-laws", n,
         "mhs chain, maximal-neighbour biconditionals, log bound, "
@@ -200,21 +190,20 @@ def verify_tprime_construction(n):
     return checks
 
 
-def verify_theorems(n_min, n_max, stream_paths=None):
-    """Full verification report over orders n_min..n_max.
-
-    ``stream_paths`` maps orders to graph6 stream files, as in
-    ``extremal.sources``. The T'_8 and T'_9 checks run whatever the
-    range. Returns a list of CheckResult.
+def verify_theorems(n_min, n_max):
+    """Full verification report over orders n_min..n_max, each swept
+    exhaustively by the builtin enumeration. The T'_8 and T'_9 checks
+    run whatever the range. Returns a list of CheckResult.
     """
     if not 2 <= n_min <= n_max:
         raise gr.GraphError(f"invalid order range {n_min}..{n_max}")
-    if n_min == 2 and 2 in (stream_paths or {}):
-        # order 2 has no sweep checks, so its stream would go unread
-        raise gr.GraphError("stream for order 2, which verify never sweeps")
+    if n_max > MAX_BUILTIN_N:
+        raise gr.GraphError(
+            f"verify supports 2 <= n <= {MAX_BUILTIN_N}, the orders of the "
+            f"builtin enumeration; got {n_min}..{n_max}")
     checks = []
-    for source in sources(max(3, n_min), n_max, stream_paths):
-        checks.extend(verify_order(source))
+    for n in range(max(3, n_min), n_max + 1):
+        checks.extend(verify_order(n))
     checks.extend(verify_families(n_min, n_max))
     for n in (8, 9):
         checks.extend(verify_tprime_construction(n))

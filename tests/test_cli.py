@@ -322,6 +322,49 @@ class TestExtremal:
         assert out == ""
         assert "stream for order 9 outside 3..4" in err
 
+    def test_stream_argument(self, capsys, tmp_path):
+        from resolvability import write_graph6
+        p = tmp_path / "n4.g6"
+        with open(p, "w") as fh:
+            for g in slot_unpack_enumeration(4):
+                fh.write(write_graph6(g) + "\n")
+        code, out, _ = run(capsys, "extremal", "psi", "beta_E", "3..4",
+                           "--stream", f"4:{p}", "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [(r["n"], r["max_diff"]) for r in rows] == [("3", "1"),
+                                                           ("4", "1")]
+
+    @pytest.mark.parametrize("item", [
+        "f.g6", "x:f.g6", ":f.g6", "\u0663:f.g6", "\uff14:f.g6", "+4:f.g6"])
+    def test_bad_stream_argument(self, capsys, item):
+        code, out, err = run(capsys, "extremal", "psi", "beta", "3..4",
+                             "--stream", item)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: bad --stream {item!r}, expected N:PATH\n"
+
+    def test_repeated_stream_order_fails(self, capsys, tmp_path):
+        from resolvability import cycle, path, write_graph6
+        a, b = tmp_path / "a.g6", tmp_path / "b.g6"
+        a.write_text(f"{write_graph6(path(8))}\n")
+        b.write_text(f"{write_graph6(cycle(8))}\n")
+        code, out, err = run(capsys, "extremal", "psi", "beta_E", "8..8",
+                             "--stream", f"8:{a}", "--stream", f"8:{b}")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --stream names order 8 twice\n"
+
+    def test_wrong_order_stream_fails_fast(self, capsys, tmp_path):
+        from resolvability import path, write_graph6
+        p = tmp_path / "p7.g6"
+        p.write_text(f"{write_graph6(path(7))}\n")
+        code, out, err = run(capsys, "extremal", "psi", "beta_E", "8..8",
+                             "--stream", f"8:{p}")
+        assert code == 1
+        assert out == ""
+        assert f"{p}, line 1: graph of order 7 in a stream of order 8" in err
+
     def test_one_stream_per_order(self, capsys, tmp_path):
         from resolvability import cycle, path, write_graph6
         p8, p9 = tmp_path / "n8.g6", tmp_path / "n9.g6"
@@ -372,48 +415,27 @@ class TestVerify:
         assert code == 0 and written == ""
         assert p.read_text(encoding="utf-8") == out
 
-    def test_stream_argument(self, capsys, tmp_path):
-        from resolvability import write_graph6
-        p = tmp_path / "n4.g6"
-        with open(p, "w") as fh:
-            for g in slot_unpack_enumeration(4):
-                fh.write(write_graph6(g) + "\n")
-        code, out, _ = run(capsys, "verify", "3..4", "--stream",
-                           f"4:{p}")
-        assert code == 0
+    def test_missing_stream_for_large_n(self, capsys, monkeypatch):
+        # verify sweeps only the builtin enumeration, and offers no stream
+        from resolvability import verify
 
-    @pytest.mark.parametrize("item", [
-        "f.g6", "x:f.g6", ":f.g6", "\u0663:f.g6", "\uff14:f.g6", "+4:f.g6"])
-    def test_bad_stream_argument(self, capsys, item):
-        code, out, err = run(capsys, "verify", "3..4", "--stream", item)
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("swept an order before checking the range")
+
+        monkeypatch.setattr(verify, "sweep", no_sweep)
+        code, out, err = run(capsys, "verify", "10..10")
         assert code == 1
         assert out == ""
-        assert err == f"error: bad --stream {item!r}, expected N:PATH\n"
+        assert err == ("error: verify supports 2 <= n <= 9, the orders of "
+                       "the builtin enumeration; got 10..10\n")
 
-    def test_repeated_stream_order_fails(self, capsys, tmp_path):
-        from resolvability import cycle, path, write_graph6
-        a, b = tmp_path / "a.g6", tmp_path / "b.g6"
-        a.write_text(f"{write_graph6(path(8))}\n")
-        b.write_text(f"{write_graph6(cycle(8))}\n")
-        code, out, err = run(capsys, "verify", "8..8", "--stream", f"8:{a}",
-                             "--stream", f"8:{b}")
-        assert code == 1
+    def test_stream_option_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "3..4", "--stream", "4:f.g6"])
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: --stream names order 8 twice\n"
-
-    def test_wrong_order_stream_fails_fast(self, capsys, tmp_path):
-        from resolvability import path, write_graph6
-        p = tmp_path / "p7.g6"
-        p.write_text(f"{write_graph6(path(7))}\n")
-        code, out, err = run(capsys, "verify", "8..8", "--stream", f"8:{p}")
-        assert code == 1
-        assert out == ""
-        assert f"{p}, line 1: graph of order 7 in a stream of order 8" in err
-
-    def test_missing_stream_for_large_n(self, capsys):
-        code, _, err = run(capsys, "verify", "10..10")
-        assert code == 1
-        assert "stream" in err
+        assert "unrecognized arguments: --stream 4:f.g6" in err
 
     def test_wrong_identity_exits_2(self, capsys, monkeypatch):
         from resolvability import verify
@@ -446,13 +468,6 @@ class TestVerify:
         passed, total = map(int, err.split()[0].split("/"))
         assert passed == total - 1
 
-    def test_order_2_stream_named(self, capsys):
-        # order 2 lies in the typed range but has no sweep to read it
-        code, out, err = run(capsys, "verify", "2..3", "--stream", "2:x.g6")
-        assert code == 1
-        assert out == ""
-        assert err == "error: stream for order 2, which verify never sweeps\n"
-
 
 class TestParser:
     def test_successive_calls_do_not_share_streams(self, capsys, monkeypatch):
@@ -465,7 +480,8 @@ class TestParser:
 
         monkeypatch.setattr(cli, "_parse_streams", parse_streams)
         for path in ("a.g6", "b.g6"):
-            code, _, _ = run(capsys, "verify", "8..8", "--stream", f"8:{path}")
+            code, _, _ = run(capsys, "extremal", "psi", "beta_E", "8..8",
+                             "--stream", f"8:{path}")
             assert code == 1
         assert seen == [["8:a.g6"], ["8:b.g6"]]
 

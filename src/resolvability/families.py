@@ -88,14 +88,14 @@ class SetFamily:
         return f"SetFamily(n={self.n}, sets={self.sets!r})"
 
 
-def _edge_distance_rows(n, packed, edges):
-    """The packed distance rows d(e, .) = min(d(u, .), d(v, .)) of the
-    edges uv in ``edges``, from the packed vertex rows. On an edge the
-    two distances differ by at most 1, so each byte of x + ONES - y is
-    0, 1 or 2, and 2, its bit 1, marks where y is the smaller."""
-    ones = int.from_bytes(b"\x01" * n, "little")
+def _edge_distance_rows(rows, packed):
+    """The byte rows d(e, .) = min(d(u, .), d(v, .)) of the edges uv,
+    from vertex byte rows ``packed``, whole or masked to a vertex set:
+    the ends' rows differ by at most 1 in each byte, so each byte of
+    x + ONES - y is 0, 1 or 2, and 2, its bit 1, marks where y is less."""
+    ones = rows.ones
     return [x - (x + ones - y >> 1 & ones)
-            for x, y in [(packed[u], packed[v]) for u, v in edges]]
+            for x, y in [(packed[u], packed[v]) for u, v in rows.edges]]
 
 
 # PLANES[b] is a bytes.translate table mapping each byte to "1" if it
@@ -130,10 +130,10 @@ def _fold(n, depth, xors):
 
 
 class Rows:
-    """One graph's distance rows in the forms its builders read: vertex
-    rows as byte ints and as bit-plane ints, made at once, and, each on
-    first use and then kept, the edge list, the edge rows as bit-plane
-    ints and the strict sets, which both W-set families take."""
+    """One graph's distance rows in the forms builders and predicates
+    read: vertex rows as byte ints and as bit-plane ints, made at once,
+    and, each on first use and then kept, the edge list, the edge rows
+    as bit-plane ints and the strict sets, which the W-set families take."""
 
     def __init__(self, g, dist):
         self.g = g
@@ -141,6 +141,7 @@ class Rows:
         # each row as one int holding d(., w) in byte w, a byte being
         # enough for the distances of a graph with n <= 62
         self.packed = [int.from_bytes(bytes(row), "little") for row in dist]
+        self.ones = int.from_bytes(b"\x01" * n, "little")  # 1 in each byte
         # planes per bit-plane row: the bit length of the diameter
         self.depth = max(1, max(map(max, dist)).bit_length())
         self.planes = _plane_rows(n, self.depth, self.packed)
@@ -156,8 +157,8 @@ class Rows:
 
     @cached_property
     def edge_planes(self):
-        return _plane_rows(self.n, self.depth, _edge_distance_rows(
-            self.n, self.packed, self.edges))
+        return _plane_rows(self.n, self.depth,
+                           _edge_distance_rows(self, self.packed))
 
     @cached_property
     def strict_sets(self):
@@ -242,7 +243,7 @@ def psi_family(rows, vertex, weak):
     """
     n, packed, adj = rows.n, rows.packed, rows.g.adj
     full = (1 << n) - 1
-    shift = 64 * int.from_bytes(b"\x01" * n, "little")
+    shift = 64 * rows.ones
     sets = []
     for u, v in combinations(range(n), 2):
         if adj[u] >> v & 1:
@@ -255,7 +256,18 @@ def psi_family(rows, vertex, weak):
     return SetFamily(n, tuple(sets), (vertex, weak))
 
 
-def is_doubly_resolving(dist, members):
+def _masked(rows, members):
+    """Each vertex's distance vector to the vertex set ``members``: its
+    byte row with the bytes of every other vertex cleared."""
+    mask = sum([255 << 8 * t for t in set(members)])
+    return [x & mask for x in rows.packed]
+
+
+def _distinct(keys):
+    return len(set(keys)) == len(keys)
+
+
+def is_doubly_resolving(rows, members):
     """True iff the vertex set doubly resolves every pair of distinct
     vertices. ``members`` is an iterable of vertex indices; sets of
     fewer than two vertices never doubly resolve.
@@ -263,35 +275,25 @@ def is_doubly_resolving(dist, members):
     Equivalent to the two-witness definition: (u, v) is doubly resolved
     by some pair from S iff s -> d(u,s) - d(v,s) is non-constant on S,
     i.e. iff the vectors (d(u,s) - d(u,s_0))_s and (d(v,s) - d(v,s_0))_s
-    over s in S differ, s_0 being the first member. So S doubly resolves
-    G iff those vectors are pairwise distinct over u: one pass over the
-    rows, O(n |S|).
+    over s in S differ, s_0 being the first member. So u is keyed by its
+    masked row + (64 - d(u,s_0)) ONES_S, ONES_S holding 1 in the bytes
+    of S, whose byte s, d(u,s) - d(u,s_0) + 64, is in 3..125 (no carry).
     """
     s = tuple(members)
     if len(s) < 2:
         return False
-    s0 = s[0]
-    seen = set()
-    for row in dist:
-        key = tuple([row[t] - row[s0] for t in s])
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+    shift, ones = 8 * s[0], sum([1 << 8 * t for t in set(s)])
+    return _distinct([x + (64 - (x >> shift & 255)) * ones
+                      for x in _masked(rows, s)])
 
 
-def is_mixed_resolving(dist, edges, members):
+def is_mixed_resolving(rows, members):
     """True iff the vertex set resolves every pair of distinct items:
-    the vertices and the edges uv in ``edges`` have pairwise distinct
-    distance vectors to ``members``, with d(uv, s) = min(d(u,s), d(v,s)).
+    the vertices and edges have distinct distance vectors to it."""
+    keys = _masked(rows, members)
+    return _distinct(keys + _edge_distance_rows(rows, keys))
 
-    A vector is a distance row packed one byte per vertex, with the
-    bytes of the other vertices cleared. The rows x, y of an edge's ends
-    differ by at most 1 in each byte, so each byte of x + ONES - y is 0,
-    1 or 2, and min(x, y) is x less its bit 1, set where x > y."""
-    mask = sum([255 << 8 * t for t in set(members)])
-    ones = int.from_bytes(b"\x01" * len(dist), "little")
-    keys = [int.from_bytes(bytes(row), "little") & mask for row in dist]
-    keys += [x - (x + ones - y >> 1 & ones)
-             for x, y in [(keys[u], keys[v]) for u, v in edges]]
-    return len(set(keys)) == len(keys)
+
+def is_edge_resolving(rows, members):
+    """True iff the edges have distinct distance vectors to the set."""
+    return _distinct(_edge_distance_rows(rows, _masked(rows, members)))

@@ -4,7 +4,8 @@ Every invariant is one pipeline: distance rows, then a set family, then
 the exact hitting-set solver, then a witness check. ``_PIPELINE`` maps
 each tag to the name of the builder in ``families`` that makes its
 family from the graph's ``Rows``, the tags whose families it is
-composed of, and, for a composed tag, its definitional predicate. beta
+composed of, and, for a composed tag, the name of its definitional
+predicate in ``families``, which reads the same ``Rows``. beta
 and beta_E are minimum hitting sets of the vertex and edge pair
 resolver families, mhs_strict and mhs_weak of the strict and weak
 W-set families, beta_M of the mixed family and psi (the doubly metric
@@ -22,7 +23,8 @@ family's is made from those of its parts.
 A composed tag (beta_M, psi) is first offered the witnesses of its
 solved parts whose value is that lower bound lo. The first that passes
 the tag's definitional predicate (``is_mixed_resolving``,
-``is_doubly_resolving``) is its answer, and its family is never built.
+``is_doubly_resolving``, which key the byte rows masked to the witness)
+is its answer, and its family is never built.
 That answer is exact and lexicographically smallest: the witness w of
 such a part P is P's lexicographically smallest optimum; any optimum T
 of the composed family has size lo and hits P's family, so it is an
@@ -50,22 +52,20 @@ def check_tags(tags):
 
 
 # tag -> (name of its builder in ``families``, tags whose families it
-# takes after the rows, in the order its family holds their sets, the
-# definitional predicate of a composed tag's witnesses on (distances,
-# rows, witness), or None), in solve order, each tag after its parts.
-# Builders and predicates are looked up in ``families`` at call time,
-# so a wrapper installed there (a counting one in the tests) sees every
-# call.
+# takes after the rows, in the order its family holds their sets, name
+# of the definitional predicate in ``families`` that a composed tag's
+# witnesses pass, or None), in solve order, each tag after its parts.
+# Builders take the rows and the parts' families, predicates the rows
+# and a witness. Both are looked up in ``families`` at call time, so a
+# wrapper installed there (a counting one in the tests) sees every call.
 _PIPELINE = {
     "beta": ("vertex_pair_family", (), None),
     "beta_E": ("edge_pair_family", (), None),
     "mhs_weak": ("family_weak", (), None),
     "mhs_strict": ("family_strict", (), None),
     "beta_M": ("compose_mixed_family", ("beta", "beta_E", "mhs_strict"),
-               lambda dist, rows, s: fam.is_mixed_resolving(
-                   dist, rows.edges, s)),
-    "psi": ("psi_family", ("beta", "mhs_weak"),
-            lambda dist, rows, s: fam.is_doubly_resolving(dist, s)),
+               "is_mixed_resolving"),
+    "psi": ("psi_family", ("beta", "mhs_weak"), "is_doubly_resolving"),
 }
 
 
@@ -79,7 +79,7 @@ class InvariantResult(namedtuple("InvariantResult", "tag value witness")):
         return [v + 1 for v in self.witness]
 
 
-def _solve(tag, family, dist, rows, lower):
+def _solve(tag, family, rows, lower):
     sets = family.sets
     # only P_2's edge-pair family is empty (one edge, no pair to resolve);
     # the closed form beta_E(P_n) = 1 covers n = 2, with witness {v_1}
@@ -88,7 +88,7 @@ def _solve(tag, family, dist, rows, lower):
     witness = bits_list(mask)
     check = _PIPELINE[tag][2]
     valid = verify_hitting(sets, mask) and (
-        not check or check(dist, rows, witness))
+        not check or getattr(fam, check)(rows, witness))
     if not valid:  # pragma: no cover
         raise RuntimeError(f"{tag}: solver returned an invalid witness")
     return InvariantResult(tag, len(witness), witness)
@@ -113,8 +113,7 @@ def all_invariants(g, tags=TAGS):
         if tag in needed:
             needed.update(_PIPELINE[tag][1])
     plan = [tag for tag in _PIPELINE if tag in needed]
-    dist = all_pairs_distances(g)
-    rows = fam.Rows(g, dist)
+    rows = fam.Rows(g, all_pairs_distances(g))
     built = {}  # tag -> family, kept while a later tag takes it
     results = {}
     for i, tag in enumerate(plan):
@@ -124,13 +123,13 @@ def all_invariants(g, tags=TAGS):
         # a part's witness of the lower bound that passes the predicate
         # is the family's lexicographically smallest optimum (see above)
         for r in solved:
-            if r.value == lower and check(dist, rows, r.witness):
+            if r.value == lower and getattr(fam, check)(rows, r.witness):
                 results[tag] = InvariantResult(tag, lower, r.witness)
                 break
         else:
             built[tag] = getattr(fam, name)(rows, *[built[p] for p in parts])
             if tag in tags:
-                results[tag] = _solve(tag, built[tag], dist, rows, lower)
+                results[tag] = _solve(tag, built[tag], rows, lower)
         # families are the bulk of the memory, so each goes after its
         # last use
         later = {p for t in plan[i + 1:] for p in _PIPELINE[t][1]}

@@ -20,6 +20,7 @@ from collections import namedtuple
 
 from . import graph as gr
 from .extremal import MAX_BUILTIN_N, GraphSource, sweep
+from .families import Rows, is_edge_resolving
 from .invariants import all_invariants
 
 
@@ -179,14 +180,10 @@ def verify_tprime_construction(n):
         want, got = values[tag]
         checks.append(_check(name, n, f"{tag}(T'_{n})", got, want))
     base = (0, n - n // 2)  # v_1 and v_{n-m+1}, m = n // 2
-    dist = gr.all_pairs_distances(g)
-    edges = g.edges()
-    distances = {tuple(min(dist[u][s], dist[v][s]) for s in base)
-                 for u, v in edges}
     checks.append(CheckResult(
         "tprime-base", n,
         f"{{v_1, v_{base[1] + 1}}} is an edge resolving set of T'_{n}",
-        len(distances) == len(edges)))
+        is_edge_resolving(Rows(g, gr.all_pairs_distances(g)), base)))
     return checks
 
 

@@ -233,6 +233,36 @@ def doubly_resolves(dist, x, y, u, v):
     return dist[u][x] - dist[u][y] != dist[v][x] - dist[v][y]
 
 
+def reference_doubly_resolving(dist, members):
+    """True iff the vertex set doubly resolves every pair of distinct
+    vertices, by comparing tuples of distances: the vectors
+    (d(u,s) - d(u,s_0))_s over s in S, s_0 its first member, are
+    pairwise distinct over u. Sets of fewer than two vertices never
+    doubly resolve. The reference for ``is_doubly_resolving``."""
+    s = tuple(members)
+    if len(s) < 2:
+        return False
+    s0 = s[0]
+    seen = set()
+    for row in dist:
+        key = tuple([row[t] - row[s0] for t in s])
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+def reference_mixed_resolving(dist, edges, members):
+    """True iff the vertices and the edges uv in ``edges`` have pairwise
+    distinct tuples of distances to ``members``, d(uv, s) being
+    min(d(u,s), d(v,s)). The reference for ``is_mixed_resolving``."""
+    s = sorted(set(members))
+    keys = [tuple([row[t] for t in s]) for row in dist]
+    keys += [tuple([min(dist[u][t], dist[v][t]) for t in s])
+             for u, v in edges]
+    return len(set(keys)) == len(keys)
+
+
 def brute_force_min_hitting(n, sets):
     """Independent oracle: enumerate subsets by cardinality then lex
     order and return the first hitting set's bitmask. Exponential."""

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from resolvability import (
+    all_invariants,
     all_pairs_distances,
     complete,
     complete_bipartite,
@@ -22,6 +23,7 @@ from resolvability.extremal import GraphSource
 from resolvability.families import Rows, compose_mixed_family, psi_family
 from resolvability.graph import bits_list, mask_of
 from resolvability.hitting import reduce_family
+from resolvability.invariants import TAGS
 
 from conftest import (
     dense_graph,
@@ -31,6 +33,8 @@ from conftest import (
     psi_pair_family,
     random_connected_graph,
     reference_cross,
+    reference_doubly_resolving,
+    reference_mixed_resolving,
     reference_psi,
     reference_psi_levels,
     reference_strict,
@@ -231,12 +235,11 @@ class TestPairFamilies:
         # the beta_M predicate holds exactly on the hitting sets of the
         # mixed family, P_2 (n = 2) included
         for g in slot_unpack_enumeration(n):
-            d = _dist(g)
-            sets = mixed_pair_family(Rows(g, d)).sets
-            edges = g.edges()
+            rows = Rows(g, _dist(g))
+            sets = mixed_pair_family(rows).sets
             for mask in range(1 << n):
                 hits = all(mask & s for s in sets)
-                assert hits == is_mixed_resolving(d, edges, bits_list(mask))
+                assert hits == is_mixed_resolving(rows, bits_list(mask))
 
 
 def _compared_per_vertex(n, pairs):
@@ -277,30 +280,31 @@ class TestDoublyResolving:
     def test_path_endpoints(self):
         for n in range(2, 9):
             g = path(n)
-            assert is_doubly_resolving(_dist(g), (0, n - 1))
+            assert is_doubly_resolving(Rows(g, _dist(g)), (0, n - 1))
 
     def test_c4_antipodal_fails(self):
         g = cycle(4)
         d = _dist(g)
-        assert not is_doubly_resolving(d, (0, 2))
+        assert not is_doubly_resolving(Rows(g, d), (0, 2))
         assert not doubly_resolves(d, 0, 2, 1, 3)
 
     def test_subset_of_w_uv_fails(self):
         # if all of S is strictly closer to u than v, the pair (u, v)
         # cannot be doubly resolved by S
         g = path(5)
-        d = _dist(g)
-        assert not is_doubly_resolving(d, (0, 1))  # both in W(v2,v3)
+        rows = Rows(g, _dist(g))
+        assert not is_doubly_resolving(rows, (0, 1))  # both in W(v2,v3)
 
     def test_single_vertex_never_doubly_resolves(self):
         g = complete(4)
-        assert not is_doubly_resolving(_dist(g), (0,))
-        assert not is_doubly_resolving(_dist(g), ())
+        rows = Rows(g, _dist(g))
+        assert not is_doubly_resolving(rows, (0,))
+        assert not is_doubly_resolving(rows, ())
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_full_vertex_set_doubly_resolves(self, n):
         for g in slot_unpack_enumeration(n):
-            assert is_doubly_resolving(_dist(g), range(n))
+            assert is_doubly_resolving(Rows(g, _dist(g)), range(n))
 
     def test_matches_two_witness_definition(self):
         rng = random.Random(3)
@@ -316,19 +320,56 @@ class TestDoublyResolving:
                 )
                 for u, v in combinations(range(n), 2)
             )
-            assert is_doubly_resolving(d, members) == expected
+            assert is_doubly_resolving(Rows(g, d), members) == expected
+
+
+def _assert_predicates_match_references(g, masks):
+    d = _dist(g)
+    rows, edges = Rows(g, d), g.edges()
+    for mask in masks:
+        members = bits_list(mask)
+        assert is_doubly_resolving(rows, members) == (
+            reference_doubly_resolving(d, members)), members
+        assert is_mixed_resolving(rows, members) == (
+            reference_mixed_resolving(d, edges, members)), members
+
+
+class TestPredicatesMatchReferences:
+    # the byte-row predicates against the tuple-keyed references in
+    # conftest, which read the distance matrix
+    def test_every_subset_of_every_class(self):
+        count = 0
+        for n in range(2, 7):
+            for g in GraphSource.enumeration(n).graphs():
+                _assert_predicates_match_references(g, range(1 << n))
+                count += 1 << n
+        assert count == 7956
+
+    @pytest.mark.parametrize("make, tags", [
+        (lambda: path(62), TAGS),  # distances up to 61
+        (lambda: complete(12), TAGS),
+        # its beta_E, beta_M and mhs_strict searches take minutes
+        (lambda: dense_graph(3, 40), ("beta", "psi", "mhs_weak")),
+    ], ids=["path62", "complete12", "dense40"])
+    def test_witnesses_and_their_one_vertex_changes(self, make, tags):
+        g = make()
+        results = all_invariants(g, tags)
+        witnesses = {mask_of(r.witness) for r in results.values()}
+        _assert_predicates_match_references(g, {
+            w ^ change for w in witnesses
+            for change in [0] + [1 << v for v in range(g.n)]})
 
 
 class TestPsiFamily:
     @pytest.mark.parametrize("n", range(2, 6))
     def test_hitting_sets_are_doubly_resolving_sets(self, n):
         for g in slot_unpack_enumeration(n):
-            d = _dist(g)
-            sets = psi_pair_family(Rows(g, d)).sets
+            rows = Rows(g, _dist(g))
+            sets = psi_pair_family(rows).sets
             for mask in range(1 << n):
                 members = bits_list(mask)
                 hits = all(mask & s for s in sets)
-                assert hits == is_doubly_resolving(d, members)
+                assert hits == is_doubly_resolving(rows, members)
 
     def test_p3_sets(self):
         g = path(3)

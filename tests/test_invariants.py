@@ -37,16 +37,17 @@ from resolvability.graph6 import write_graph6
 
 from conftest import (
     dense_graph, panel_members, random_connected_graph,
-    slot_unpack_enumeration)
+    reference_doubly_resolving, slot_unpack_enumeration)
 
 
 def brute_force_psi(dist):
     """First doubly resolving vertex set by size, then lexicographic
-    order. Exponential; independent of the psi family and the solver."""
+    order, by the conftest reference. Exponential; independent of the
+    psi family, the solver and ``is_doubly_resolving``."""
     n = len(dist)
     for k in range(n + 1):
         for combo in combinations(range(n), k):
-            if is_doubly_resolving(dist, combo):
+            if reference_doubly_resolving(dist, combo):
                 return combo
     raise AssertionError("V is doubly resolving for every connected graph")
 
@@ -138,8 +139,8 @@ class TestDoublyMetricDimension:
         for _ in range(30):
             g = random_connected_graph(rng, n_max=8)
             res = all_invariants(g, ("psi",))["psi"]
-            d = all_pairs_distances(g)
-            assert is_doubly_resolving(d, res.witness)
+            rows = Rows(g, all_pairs_distances(g))
+            assert is_doubly_resolving(rows, res.witness)
             assert len(res.witness) == res.value
 
     def test_witness_hits_weak_family(self):
@@ -356,21 +357,22 @@ class TestPipeline:
             assert sum(built) == 2 * g.num_edges()
 
     def test_edge_rows_built_once(self, monkeypatch):
-        # one edge list and one set of edge rows per call, whichever
-        # builders read them
+        # one edge list and one set of the families' edge rows
+        # (``Rows.edge_planes``) per call, whichever builders read them;
+        # the predicates key edge rows of their own, masked to a witness
         counts = {"edges": 0, "rows": 0}
-        edges, edge_rows = Graph.edges, families._edge_distance_rows
+        edges, edge_planes = Graph.edges, families.Rows.edge_planes
 
         def counted_edges(self):
             counts["edges"] += 1
             return edges(self)
 
-        def counted_rows(*args):
+        def counted_planes(self, func=edge_planes.func):
             counts["rows"] += 1
-            return edge_rows(*args)
+            return func(self)
 
         monkeypatch.setattr(Graph, "edges", counted_edges)
-        monkeypatch.setattr(families, "_edge_distance_rows", counted_rows)
+        monkeypatch.setattr(edge_planes, "func", counted_planes)
         for g in (complete(7), t_prime_tree(12),
                   random_connected_graph(random.Random(5), 10, 14)):
             for tags in (TAGS, ("beta_M",), ("mhs_weak", "beta_E"), ("psi",)):
@@ -516,9 +518,9 @@ class TestFastPath:
         graphs += [dense_graph(n, n) for n in range(10, 17)]
         fast = [all_invariants(g) for g in graphs]
         for g, got in zip(graphs, fast):
-            dist = all_pairs_distances(g)
-            assert is_mixed_resolving(dist, g.edges(), got["beta_M"].witness)
-            assert is_doubly_resolving(dist, got["psi"].witness)
+            rows = Rows(g, all_pairs_distances(g))
+            assert is_mixed_resolving(rows, got["beta_M"].witness)
+            assert is_doubly_resolving(rows, got["psi"].witness)
         # each predicate fails until its tag's family is built in the
         # same call, so every composed tag searches its family and
         # re-checks the witness it finds

@@ -186,7 +186,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@cache
 def build_parser():
+    """The parser, built once per process: parse_args leaves it as it was."""
     parser = _Parser(
         prog="resolvability",
         description="Exact graph resolvability invariants "
@@ -231,14 +233,8 @@ def build_parser():
     return parser
 
 
-@cache
-def _parser():
-    """The parser, built once per process: parse_args leaves it as it was."""
-    return build_parser()
-
-
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (GraphError, OSError, ValueError) as exc:

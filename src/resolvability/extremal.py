@@ -46,10 +46,9 @@ ExtremalReport = namedtuple(
     "ExtremalReport", "xi1 xi2 n max_diff witness_graph6 graphs_scanned")
 
 
-class GraphSource(namedtuple("GraphSource", "kind n path",
-                             defaults=(None, None))):
-    """Where graphs come from: the builtin class enumeration (n <= 9) or
-    a graph6 stream file. ``kind`` is "enumeration" or "graph6"."""
+class GraphSource(namedtuple("GraphSource", "n path", defaults=(None,))):
+    """Where the graphs of order n come from: the builtin class
+    enumeration (n <= 9), or the graph6 stream file ``path``."""
 
     __slots__ = ()
 
@@ -58,11 +57,11 @@ class GraphSource(namedtuple("GraphSource", "kind n path",
         if not 2 <= n <= MAX_BUILTIN_N:
             raise GraphError(
                 f"builtin enumeration supports 2 <= n <= {MAX_BUILTIN_N}")
-        return cls("enumeration", n=n)
+        return cls(n)
 
     @classmethod
-    def graph6_file(cls, path, n=None):
-        return cls("graph6", n=n, path=path)
+    def graph6_file(cls, path, n):
+        return cls(n, path)
 
     def graphs(self):
         """Yield the source's graphs. The enumeration yields one graph
@@ -71,16 +70,15 @@ class GraphSource(namedtuple("GraphSource", "kind n path",
         stream order.
 
         A graph6 stream yields every graph; ``sweep`` folds it by class.
-        It must hold graphs of one order (``n`` if given, else the first
-        graph's) and only connected graphs; the first line that breaks
-        this or is not graph6 raises GraphError naming the file and the
-        line, and so does a stream with no graph at all.
+        It must hold only connected graphs of order ``n``; the first
+        line that breaks this or is not graph6 raises GraphError naming
+        the file and the line, and so does a stream with no graph at
+        all.
         """
-        if self.kind == "enumeration":
+        if self.path is None:
             for form in sorted(_classes(self.n)):
                 yield Graph(self.n, adjacency(self.n, form))
             return
-        order = self.n
         count = 0
         # non-ASCII bytes decode to surrogates, which parse_graph6 rejects
         with open(self.path, encoding="ascii", errors="surrogateescape") as fh:
@@ -92,12 +90,10 @@ class GraphSource(namedtuple("GraphSource", "kind n path",
                 except Graph6Error as exc:
                     raise Graph6Error(
                         f"{self.path}, line {line_no}: {exc}") from None
-                if order is None:
-                    order = g.n
-                elif g.n != order:
+                if g.n != self.n:
                     raise GraphError(
                         f"{self.path}, line {line_no}: graph of order {g.n} "
-                        f"in a stream of order {order}"
+                        f"in a stream of order {self.n}"
                     )
                 if not is_connected(g):
                     raise GraphError(
@@ -126,7 +122,7 @@ def sources(lo, hi, streams=None):
             raise GraphError(
                 f"builtin enumeration supports 2 <= n <= {MAX_BUILTIN_N}; "
                 f"use a graph6 stream for n = {n}")
-    return [GraphSource.graph6_file(streams[n], n=n) if n in streams
+    return [GraphSource.graph6_file(streams[n], n) if n in streams
             else GraphSource.enumeration(n) for n in range(lo, hi + 1)]
 
 
@@ -240,14 +236,9 @@ def _class_stats(g, laws):
     return values, [msg for msg, holds in laws if not holds(g, values)]
 
 
-class SweepResult(namedtuple("SweepResult",
-                             "n graphs_scanned reports law_failures")):
-    # reports: (xi1, xi2) -> ExtremalReport; law_failures: (graph6, message)
-    __slots__ = ()
-
-    def __new__(cls, n, graphs_scanned, reports, law_failures=None):
-        failures = [] if law_failures is None else law_failures
-        return super().__new__(cls, n, graphs_scanned, reports, failures)
+# reports: (xi1, xi2) -> ExtremalReport; law_failures: (graph6, message)
+SweepResult = namedtuple("SweepResult",
+                         "n graphs_scanned reports law_failures")
 
 
 def sweep(source, pairs, laws=()):
@@ -270,7 +261,7 @@ def sweep(source, pairs, laws=()):
     """
     pairs = tuple(pairs)
     check_tags(tag for pair in pairs for tag in pair)
-    fold = source.kind == "graph6"
+    fold = source.path is not None
     classes = set()  # canonical forms seen so far
     best = dict.fromkeys(pairs)  # (diff, first graph with it)
     failures = []
@@ -291,7 +282,7 @@ def sweep(source, pairs, laws=()):
         if violations:
             g6 = write_graph6(g)
             failures.extend((g6, msg) for msg in violations)
-    n = g.n  # graphs() yields at least one graph or raises
+    n = source.n
     if not fold:
         scanned = _labeled_connected(n)
     reports = {

@@ -51,8 +51,7 @@ from .hitting import reduce_family
 class SetFamily:
     """Ordered family of vertex subsets (bitmasks) over universe 0..n-1:
     the sets of the families ``parts`` it is composed of, in order, then
-    its own ``sets``. It compares, hashes and prints as ``n`` and the
-    whole ``sets`` alone."""
+    its own ``sets``."""
 
     __slots__ = ("n", "sets", "parts", "_own", "_reduced", "__weakref__")
 
@@ -76,16 +75,6 @@ class SetFamily:
             self._reduced = reduce_family(self.n, kept + list(self._own),
                                           forced)
         return self._reduced
-
-    def __eq__(self, other):
-        return (isinstance(other, SetFamily) and self.n == other.n
-                and self.sets == other.sets)
-
-    def __hash__(self):
-        return hash((self.n, self.sets))
-
-    def __repr__(self):
-        return f"SetFamily(n={self.n}, sets={self.sets!r})"
 
 
 def _edge_distance_rows(rows, packed):

@@ -66,9 +66,9 @@ def _by_size(sets):
     return order
 
 
-# (lane width in bits, struct code) for universes of up to 8, 16, 32
-# and 64 vertices
-LANES = ((8, "B"), (16, "H"), (32, "I"), (64, "Q"))
+# (lane width in bits, struct code) for universes of up to 16, 32 and
+# 64 vertices
+LANES = ((16, "H"), (32, "I"), (64, "Q"))
 
 
 def _columns(n, sets):

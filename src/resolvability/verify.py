@@ -103,10 +103,9 @@ CLOSED_FORMS = {
         "beta": n - 1, "beta_E": n - 1, "beta_M": n}),
     "cycle": (3, lambda n: f"cycle:{n}", lambda n: {
         "psi": 2 if n % 2 else 3, "beta": 2, "beta_E": 2}),
-    # K_{2,n-2}; K_{2,1} = P_3 (`families bipartite 1`) has no beta_M row
+    # K_{2,n-2}
     "bipartite": (4, lambda n: f"bipartite:2,{n - 2}", lambda n: {
-        "mhs_strict": 2, "mhs_weak": 2,
-        **({"beta_M": n - 1} if n > 3 else {})}),
+        "mhs_strict": 2, "mhs_weak": 2, "beta_M": n - 1}),
     "tprime": (4, lambda n: f"tprime:{n}", lambda n: {
         "psi": n // 2 + 1, "beta_E": 2}),
 }
@@ -135,16 +134,11 @@ def verify_order(n):
     return checks
 
 
-def family_formula(family, n):
-    """The closed forms, by tag, of the member of order n of ``family``."""
-    return CLOSED_FORMS[family][2](n)
-
-
 def closed_form_values(family, n):
     """{tag: (closed form, computed)} on the member of order n of
     ``family``, built by ``graph.generate``; only those tags are solved."""
     g = gr.generate(CLOSED_FORMS[family][1](n))
-    forms = family_formula(family, n)
+    forms = CLOSED_FORMS[family][2](n)
     results = all_invariants(g, tuple(forms))
     return {tag: (want, results[tag].value) for tag, want in forms.items()}
 

@@ -206,11 +206,11 @@ class TestFamilies:
         assert psi == [2 if n % 2 else 3 for n in range(3, 11)]
 
     def test_bipartite_means_k2n(self, capsys):
-        code, out, _ = run(capsys, "families", "bipartite", "3..5",
+        code, out, _ = run(capsys, "families", "bipartite", "1..5",
                            "--format", "csv")
         assert code == 0
         rows = list(csv.DictReader(io.StringIO(out)))
-        assert {r["param"] for r in rows} == {"3", "4", "5"}
+        assert {r["param"] for r in rows} == {"1", "2", "3", "4", "5"}
         for row in rows:
             assert row["graph"] == f"bipartite:2,{row['param']}"
             _, record, _ = run(capsys, "compute", "--gen", row["graph"],

@@ -247,7 +247,7 @@ class TestStreamSource:
             p = tmp_path / f"n{n}.g6"
             _write_stream(p, slot_unpack_enumeration(n))
             builtin = sweep(GraphSource.enumeration(n), THEOREM_PAIRS, LAWS)
-            stream = sweep(GraphSource.graph6_file(str(p)), THEOREM_PAIRS,
+            stream = sweep(GraphSource.graph6_file(str(p), n), THEOREM_PAIRS,
                            LAWS)
             assert stream == builtin
 
@@ -256,7 +256,7 @@ class TestStreamSource:
         p.write_text("\n  \n")
         with pytest.raises(GraphError, match="empty.g6: stream holds no graphs"):
             extremal_difference("psi", "mhs_weak",
-                                GraphSource.graph6_file(str(p)))
+                                GraphSource.graph6_file(str(p), 2))
 
     def test_mixed_orders_rejected(self, tmp_path):
         p = tmp_path / "mixed.g6"
@@ -264,7 +264,7 @@ class TestStreamSource:
         with pytest.raises(GraphError, match="line 3: graph of order 3 in "
                                              "a stream of order 2"):
             extremal_difference("psi", "mhs_weak",
-                                GraphSource.graph6_file(str(p)))
+                                GraphSource.graph6_file(str(p), 2))
 
     @pytest.mark.parametrize("text,message", [
         ("A_\n\nA!\n", "line 3: graph6 string"),
@@ -276,16 +276,15 @@ class TestStreamSource:
         p.write_text(text, encoding="utf-8")
         with pytest.raises(GraphError, match=f"bad.g6, {message}"):
             extremal_difference("psi", "mhs_weak",
-                                GraphSource.graph6_file(str(p)))
+                                GraphSource.graph6_file(str(p), 2))
 
 
 class TestSources:
     def test_orders_and_kinds(self):
         got = sources(3, 8, {4: "n4.g6", 8: "n8.g6"})
-        assert [(s.n, s.kind, s.path) for s in got] == [
-            (3, "enumeration", None), (4, "graph6", "n4.g6"),
-            (5, "enumeration", None), (6, "enumeration", None),
-            (7, "enumeration", None), (8, "graph6", "n8.g6")]
+        assert [(s.n, s.path) for s in got] == [
+            (3, None), (4, "n4.g6"), (5, None), (6, None), (7, None),
+            (8, "n8.g6")]
         assert sources(3, 5) == sources(3, 5, {}) == [
             GraphSource.enumeration(n) for n in (3, 4, 5)]
 
@@ -327,7 +326,7 @@ class TestSweepLaws:
             (write_graph6(paths[0]), "flagged path")]
         p = tmp_path / "n4.g6"
         _write_stream(p, graphs)
-        stream = sweep(GraphSource.graph6_file(str(p)), (), FLAG_PATHS)
+        stream = sweep(GraphSource.graph6_file(str(p), 4), (), FLAG_PATHS)
         assert stream.law_failures == result.law_failures
 
     @pytest.mark.parametrize("n", (5, 6))
@@ -342,7 +341,7 @@ class TestSweepLaws:
         assert result.law_failures == expected
         p = tmp_path / f"n{n}.g6"
         _write_stream(p, slot_unpack_enumeration(n))
-        stream = sweep(GraphSource.graph6_file(str(p)), (), FLAG_PATHS)
+        stream = sweep(GraphSource.graph6_file(str(p), n), (), FLAG_PATHS)
         assert stream.law_failures == expected
 
 
@@ -397,7 +396,7 @@ class TestEnumerationSource:
             return invariant_values(g)
 
         monkeypatch.setattr(extremal, "invariant_values", counted)
-        stream = sweep(GraphSource.graph6_file(str(p)), THEOREM_PAIRS,
+        stream = sweep(GraphSource.graph6_file(str(p), 5), THEOREM_PAIRS,
                        FLAG_PATHS)
         assert len(calls) == A001349[5]
         assert stream == sweep(GraphSource.enumeration(5), THEOREM_PAIRS,
@@ -424,7 +423,7 @@ class TestEnumerationSource:
             return invariant_values(g)
 
         monkeypatch.setattr(extremal, "invariant_values", counted)
-        result = sweep(GraphSource.graph6_file(str(p)), THEOREM_PAIRS,
+        result = sweep(GraphSource.graph6_file(str(p), 8), THEOREM_PAIRS,
                        FLAG_PATHS)
         assert calls == [p8, star]
         assert result.law_failures == [(write_graph6(p8), "flagged path")]

@@ -224,7 +224,7 @@ def _nested_family(rng, n):
 
 class TestReduce:
     def test_matches_comparison_on_random_families(self):
-        # universes of 1..62 vertices: every byte lane width 1..8
+        # universes of 1..62 vertices: every lane width 2, 4 and 8 bytes
         rng = random.Random(62)
         for n in range(1, 63):
             for _ in range(12):

@@ -6,8 +6,9 @@ import pytest
 from resolvability import invariant_values, verify_theorems
 from resolvability.graph import generate
 from resolvability.verify import (
+    CLOSED_FORMS,
+    DIFFERENCES,
     LAWS,
-    family_formula,
     verify_families,
     verify_order,
     verify_tprime_construction,
@@ -86,6 +87,11 @@ def test_tprime_construction():
         assert all(c.passed for c in verify_tprime_construction(n))
 
 
+def family_formula(family, n):
+    """The closed forms, by tag, of the member of order n of ``family``."""
+    return CLOSED_FORMS[family][2](n)
+
+
 def test_family_formula_values():
     assert family_formula("path", 9)["mhs_strict"] == 2
     assert family_formula("complete", 6) == {
@@ -93,8 +99,31 @@ def test_family_formula_values():
         "beta": 5, "beta_E": 5, "beta_M": 6,
     }
     assert family_formula("bipartite", 6)["beta_M"] == 5  # K_{2,4}
-    assert "beta_M" not in family_formula("bipartite", 3)  # K_{2,1}
+    assert family_formula("bipartite", 3)["beta_M"] == 2  # K_{2,1} = P_3
     assert family_formula("tprime", 9) == {"psi": 5, "beta_E": 2}
+
+
+# DIFFERENCES row -> the CLOSED_FORMS family whose member of order n
+# attains the row's value (the lower end of a range)
+ATTAINED_BY = {
+    "psimhs1(i)": "path", "hslel1(i)": "path", "mdiml1(i)": "path",
+    "psimhs1(ii)": "complete", "hslel1(ii)": "complete",
+    "mdiml1(ii)": "bipartite", "dedge": "tprime",
+}
+
+
+def test_differences_attained_by_closed_forms():
+    # the tables alone, no solve: on the attaining family the closed
+    # forms of a and b differ by each row's value at every n = 4..62
+    covered = set()
+    for name, (a, b), (least, greatest), value in DIFFERENCES:
+        for n in range(max(4, least), min(62, greatest or 62) + 1):
+            forms = family_formula(ATTAINED_BY[name], n)
+            want = value(n)
+            want = want[0] if isinstance(want, tuple) else want
+            assert forms[a] - forms[b] == want, (name, n)
+            covered.add(name)
+    assert covered == set(ATTAINED_BY)
 
 
 def test_bad_range():
